@@ -4,14 +4,11 @@
 //   setsched_cli --list
 //   setsched_cli --solver=<name> (--instance=<file> | --generate=<preset>)
 //   setsched_cli --all           (--instance=<file> | --generate=<preset>)
-//   setsched_cli --batch (--solver=<name> ... | --all) --generate=<presets>
-//                [--seeds=N | --seeds=A..B] [--threads=N] [--jsonl=PATH]
-//                [--no-timing]
 //
 // Options: --seed=N --epsilon=E --precision=P --time-limit=S
 //          --inject=SPEC --lp-audit-interval=N
 //          --lp=auto|tableau|revised|dual --lp-pricing=candidate|devex --csv
-//          --trace=PATH (Chrome trace-event JSON of the run; both modes)
+//          --trace=PATH (Chrome trace-event JSON of the run)
 // Presets: uniform-small uniform-large unrelated-small unrelated-medium
 //          unrelated-midsize restricted class-uniform planted
 // (The README's flag table and docs/SOLVERS.md mirror this block; the
@@ -34,10 +31,7 @@
 #include "common/timer.h"
 #include "core/bounds.h"
 #include "core/schedule.h"
-#include "expt/aggregate.h"
-#include "expt/harness.h"
 #include "expt/plan.h"
-#include "expt/record_io.h"
 #include "lp/fault.h"
 #include "obs/phase.h"
 #include "obs/trace.h"
@@ -54,17 +48,11 @@ struct CliOptions {
   std::string preset;
   std::uint64_t seed = 1;
   SolverContext context;
-  /// LP fault-injection spec (lp::FaultPlan::parse syntax); seeded from
-  /// --seed in single-run mode, per cell_seed in --batch mode. Empty = off.
+  /// LP fault-injection spec (lp::FaultPlan::parse syntax), seeded from
+  /// --seed. Empty = off.
   std::string inject;
   std::size_t lp_audit_interval = 0;
-  // --batch sweep mode (delegates to the src/expt harness).
-  bool batch = false;
-  std::string seeds;  // "N" or "A..B"; empty means the single --seed
-  std::size_t threads = 0;
-  std::string jsonl_path;
-  bool record_timing = true;
-  std::string trace_path;  // valid in both single-run and --batch modes
+  std::string trace_path;
 };
 
 void print_usage(std::ostream& os) {
@@ -75,10 +63,6 @@ void print_usage(std::ostream& os) {
      << "                    [--time-limit=S] [--lp=auto|tableau|revised|dual]\n"
      << "                    [--lp-pricing=candidate|devex] [--csv]\n"
      << "                    [--inject=SPEC] [--lp-audit-interval=N]\n"
-     << "                    [--trace=PATH]\n"
-     << "       setsched_cli --batch (--solver=<name> ... | --all)\n"
-     << "                    --generate=<preset,...> [--seeds=N | --seeds=A..B]\n"
-     << "                    [--threads=N] [--jsonl=PATH] [--no-timing]\n"
      << "                    [--trace=PATH]\n"
      << "presets:";
   for (const std::string& preset : preset_names()) os << ' ' << preset;
@@ -103,17 +87,6 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
         options.all = true;
       } else if (arg == "--csv") {
         options.csv = true;
-      } else if (arg == "--batch") {
-        options.batch = true;
-      } else if (arg == "--no-timing") {
-        options.record_timing = false;
-      } else if (consume(arg, "--seeds", &value)) {
-        options.seeds = value;
-      } else if (consume(arg, "--threads", &value)) {
-        options.threads =
-            static_cast<std::size_t>(expt::parse_u64(value, "threads"));
-      } else if (consume(arg, "--jsonl", &value)) {
-        options.jsonl_path = value;
       } else if (consume(arg, "--trace", &value)) {
         options.trace_path = value;
       } else if (consume(arg, "--solver", &value)) {
@@ -311,58 +284,6 @@ int run(const CliOptions& options) {
   return any_failed ? 2 : 0;
 }
 
-// --batch: one sweep over presets × seeds × solvers via the expt harness,
-// reported as the per-(solver, preset) aggregate table.
-int run_batch(const CliOptions& options) {
-  expt::ExperimentPlan plan;
-  plan.presets = expt::split_list(options.preset);
-  plan.solvers =
-      options.all ? SolverRegistry::global().names() : options.solvers;
-  if (options.seeds.empty()) {
-    plan.seed_begin = plan.seed_end = options.seed;
-  } else {
-    expt::parse_seed_range(options.seeds, &plan.seed_begin, &plan.seed_end);
-  }
-  plan.epsilon = options.context.epsilon;
-  plan.precision = options.context.precision;
-  plan.time_limit_s = options.context.time_limit_s;
-  plan.lp_algorithm = options.context.lp_algorithm;
-  plan.lp_pricing = options.context.lp_pricing;
-  plan.inject = options.inject;
-  plan.lp_audit_interval = options.lp_audit_interval;
-  plan.threads = options.threads;
-  plan.record_timing = options.record_timing;
-  plan.validate();
-
-  if (!options.csv) {
-    std::cout << "batch sweep: " << plan.presets.size() << " presets x "
-              << plan.num_seeds() << " seeds x " << plan.solvers.size()
-              << " solvers = " << plan.num_cells() << " cells\n\n";
-  }
-  const std::vector<expt::RunRecord> records = expt::run_experiment(plan);
-  if (!options.jsonl_path.empty()) {
-    std::ofstream file(options.jsonl_path);
-    check(file.good(),
-          "cannot open JSONL output file '" + options.jsonl_path + "'");
-    expt::write_jsonl(file, records);
-    check(file.good(), "failed writing JSONL to '" + options.jsonl_path + "'");
-  }
-
-  const Table table = expt::summary_table(expt::aggregate(records));
-  options.csv ? table.print_csv(std::cout) : table.print(std::cout);
-
-  bool any_failed = false;
-  for (const expt::RunRecord& record : records) {
-    if (record.status == expt::RunStatus::kInvalid ||
-        record.status == expt::RunStatus::kError) {
-      any_failed = true;
-      std::cerr << "setsched_cli: " << record.solver << " on " << record.preset
-                << " seed " << record.seed << ": " << record.error << "\n";
-    }
-  }
-  return any_failed ? 2 : 0;
-}
-
 int cli_main(int argc, char** argv) {
   const std::optional<CliOptions> options = parse_args(argc, argv);
   if (!options) {
@@ -375,30 +296,14 @@ int cli_main(int argc, char** argv) {
     print_usage(std::cerr);
     return 1;
   }
-  if (options->batch &&
-      (options->preset.empty() || !options->instance_path.empty())) {
-    std::cerr << "setsched_cli: --batch sweeps generated presets only "
-                 "(--generate=<preset,...>)\n";
-    print_usage(std::cerr);
-    return 1;
-  }
-  if (!options->batch &&
-      (!options->seeds.empty() || options->threads != 0 ||
-       !options->jsonl_path.empty() || !options->record_timing)) {
-    std::cerr << "setsched_cli: --seeds/--threads/--jsonl/--no-timing "
-                 "require --batch\n";
-    print_usage(std::cerr);
-    return 1;
-  }
-  if (!options->batch &&
-      options->instance_path.empty() == options->preset.empty()) {
+  if (options->instance_path.empty() == options->preset.empty()) {
     std::cerr << "setsched_cli: pick exactly one of --instance / --generate\n";
     print_usage(std::cerr);
     return 1;
   }
   try {
     if (!options->trace_path.empty()) obs::start_trace();
-    const int rc = options->batch ? run_batch(*options) : run(*options);
+    const int rc = run(*options);
     if (!options->trace_path.empty()) {
       obs::stop_trace();
       std::ofstream file(options->trace_path);

@@ -54,9 +54,22 @@ class FunctionSolver final : public Solver {
 /// tests assert makespan consistency); LP-based solvers pass their effort
 /// counters through.
 ScheduleResult finish(const Instance& instance, Schedule schedule,
-                      SolverStats stats = {}) {
+                      const SolverCounters& counters = {}) {
   const double value = makespan(instance, schedule);
-  return ScheduleResult{std::move(schedule), value, stats};
+  ScheduleResult out{std::move(schedule), value, {}};
+  static_cast<SolverCounters&>(out.stats) = counters;
+  return out;
+}
+
+/// Surfaces the exact subsystem's result contract: a node/time-budget abort
+/// is visible (proven_optimal false, positive gap) instead of masquerading
+/// as ground truth, and the search effort counters ride along.
+ScheduleResult finish_exact(const Instance& instance,
+                            const ExactResult& result) {
+  ScheduleResult out = finish(instance, result.schedule, result);
+  out.stats.proven_optimal = result.proven_optimal;
+  out.stats.gap = result.gap;
+  return out;
 }
 
 bool has_uniform(const ProblemInput& input) { return input.uniform.has_value(); }
@@ -67,39 +80,6 @@ bool is_restricted(const ProblemInput& input) {
 
 bool is_class_uniform(const ProblemInput& input) {
   return is_class_uniform_processing(input.instance);
-}
-
-/// Surfaces the exact subsystem's result contract: a node/time-budget abort
-/// is visible (proven_optimal false, positive gap) instead of masquerading
-/// as ground truth, and the search effort counters ride along.
-SolverStats exact_stats(const ExactResult& result) {
-  SolverStats stats;
-  stats.lp_solves = result.lp_bounds_used;
-  stats.lp_iterations = result.lp_iterations;
-  stats.lp_dual_solves = result.lp_dual_solves;
-  stats.nodes = result.nodes;
-  stats.lp_bounds_used = result.lp_bounds_used;
-  stats.fixed_vars = result.fixed_vars;
-  stats.lp_audits_suspect = result.lp_audits_suspect;
-  stats.lp_recoveries = result.lp_recoveries;
-  stats.lp_oracle_fallbacks = result.lp_oracle_fallbacks;
-  stats.cg_columns = result.cg_columns;
-  stats.cg_pricing_rounds = result.cg_pricing_rounds;
-  stats.cg_fallbacks = result.cg_fallbacks;
-  stats.proven_optimal = result.proven_optimal;
-  stats.gap = result.gap;
-  return stats;
-}
-
-SolverStats rounding_stats(const RoundingResult& result) {
-  SolverStats stats;
-  stats.lp_solves = result.lp_solves;
-  stats.lp_iterations = result.lp_iterations;
-  stats.lp_dual_solves = result.lp_dual_solves;
-  stats.lp_audits_suspect = result.lp_audits_suspect;
-  stats.lp_recoveries = result.lp_recoveries;
-  stats.lp_oracle_fallbacks = result.lp_oracle_fallbacks;
-  return stats;
 }
 
 /// Fault injection without the audit guard would just propagate corruption;
@@ -183,8 +163,7 @@ void register_builtin_solvers(SolverRegistry& registry) {
       [](const ProblemInput& input, const SolverContext& context) {
         const RoundingResult result =
             randomized_rounding(input.instance, rounding_options(context));
-        return finish(input.instance, result.schedule,
-                      rounding_stats(result));
+        return finish(input.instance, result.schedule, result);
       });
   add("colgen", nullptr,
       [](const ProblemInput& input, const SolverContext& context) {
@@ -196,8 +175,7 @@ void register_builtin_solvers(SolverRegistry& registry) {
         config.simplex.guard = effective_audit_interval(context) > 0;
         const RoundingResult result = randomized_rounding_config(
             input.instance, rounding_options(context), config);
-        return finish(input.instance, result.schedule,
-                      rounding_stats(result));
+        return finish(input.instance, result.schedule, result);
       });
 
   // -- Special structures (Section 3.3) ------------------------------------
@@ -210,10 +188,7 @@ void register_builtin_solvers(SolverRegistry& registry) {
         simplex.guard = effective_audit_interval(context) > 0;
         const ConstantApproxResult result =
             two_approx_restricted(input.instance, context.precision, simplex);
-        SolverStats stats;
-        stats.lp_solves = result.lp_solves;
-        stats.lp_iterations = result.lp_iterations;
-        return finish(input.instance, result.schedule, stats);
+        return finish(input.instance, result.schedule, result);
       });
   add("classuniform-3approx", is_class_uniform,
       [](const ProblemInput& input, const SolverContext& context) {
@@ -224,10 +199,7 @@ void register_builtin_solvers(SolverRegistry& registry) {
         simplex.guard = effective_audit_interval(context) > 0;
         const ConstantApproxResult result = three_approx_class_uniform(
             input.instance, context.precision, simplex);
-        SolverStats stats;
-        stats.lp_solves = result.lp_solves;
-        stats.lp_iterations = result.lp_iterations;
-        return finish(input.instance, result.schedule, stats);
+        return finish(input.instance, result.schedule, result);
       });
 
   // -- Exact and improvement -----------------------------------------------
@@ -240,8 +212,8 @@ void register_builtin_solvers(SolverRegistry& registry) {
         options.lp_pricing = context.lp_pricing;
         options.fault_plan = armed_plan(context);
         options.deadline = context.deadline;
-        const ExactResult result = solve_exact(input.instance, options);
-        return finish(input.instance, result.schedule, exact_stats(result));
+        return finish_exact(input.instance,
+                            solve_exact(input.instance, options));
       });
   add("branch-and-price", nullptr,
       [](const ProblemInput& input, const SolverContext& context) {
@@ -262,8 +234,8 @@ void register_builtin_solvers(SolverRegistry& registry) {
         options.lp_pricing = context.lp_pricing;
         options.fault_plan = armed_plan(context);
         options.deadline = context.deadline;
-        const ExactResult result = solve_exact(input.instance, options);
-        return finish(input.instance, result.schedule, exact_stats(result));
+        return finish_exact(input.instance,
+                            solve_exact(input.instance, options));
       });
   add("exact-dive", nullptr,
       [](const ProblemInput& input, const SolverContext& context) {
@@ -275,8 +247,8 @@ void register_builtin_solvers(SolverRegistry& registry) {
         options.lp_pricing = context.lp_pricing;
         options.fault_plan = armed_plan(context);
         options.deadline = context.deadline;
-        const ExactResult result = solve_exact(input.instance, options);
-        return finish(input.instance, result.schedule, exact_stats(result));
+        return finish_exact(input.instance,
+                            solve_exact(input.instance, options));
       });
   add("dive-then-prove", nullptr,
       [](const ProblemInput& input, const SolverContext& context) {
@@ -288,8 +260,8 @@ void register_builtin_solvers(SolverRegistry& registry) {
         options.lp_pricing = context.lp_pricing;
         options.fault_plan = armed_plan(context);
         options.deadline = context.deadline;
-        const ExactResult result = solve_exact(input.instance, options);
-        return finish(input.instance, result.schedule, exact_stats(result));
+        return finish_exact(input.instance,
+                            solve_exact(input.instance, options));
       });
   add("local-search", nullptr,
       [](const ProblemInput& input, const SolverContext&) {

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <istream>
 #include <ostream>
@@ -12,6 +13,7 @@
 
 #include "common/check.h"
 #include "common/format.h"
+#include "core/counters.h"
 #include "obs/phase.h"
 
 namespace setsched::expt {
@@ -174,19 +176,29 @@ bool to_bool(std::string_view token, const LineParser& p) {
   p.fail("bad boolean '" + std::string(token) + "'");
 }
 
+/// Position of `key` in the counter table, or kSolverCounterCount.
+std::size_t counter_index(std::string_view key) {
+  std::size_t c = 0;
+  while (c < kSolverCounterCount && kSolverCounters[c].name != key) ++c;
+  return c;
+}
+
 RunRecord parse_record_line(std::string_view line) {
   LineParser p{line};
   RunRecord r;
-  // Bitmask of the keys, in write_jsonl() order. Bits 0-24 are the required
-  // keys; bit 25 (phase_ms), bits 26-28 (the LP guard counters), and bits
-  // 29-31 (the branch-and-price counters) are OPTIONAL on read — lines
-  // written before the observability / safety-net / branch-and-price PRs
-  // parse with an empty breakdown and zero counters — and their bits only
-  // guard against duplicates.
-  unsigned seen = 0;
-  const auto mark = [&](unsigned bit) {
-    if (seen & (1u << bit)) p.fail("duplicate key");
-    seen |= 1u << bit;
+  // One bit per key, to reject duplicates: bits 0-19 are the fixed keys in
+  // write_jsonl() order, bit kCounterBit + c is counter c of the table.
+  // Every key is required except phase_ms and the counters the table marks
+  // optional, so lines written before those existed parse with an empty
+  // breakdown and zero counters.
+  constexpr unsigned kPhaseBit = 13;
+  constexpr unsigned kCounterBit = 20;
+  static_assert(kCounterBit + kSolverCounterCount <= 64);
+  const auto bit = [](std::size_t i) { return std::uint64_t{1} << i; };
+  std::uint64_t seen = 0;
+  const auto mark = [&](std::size_t i) {
+    if (seen & bit(i)) p.fail("duplicate key");
+    seen |= bit(i);
   };
 
   p.expect('{');
@@ -223,7 +235,7 @@ RunRecord parse_record_line(std::string_view line) {
     } else if (key == "time_ms") {
       mark(12), r.time_ms = to_double(p.parse_number_token(), p);
     } else if (key == "phase_ms") {
-      mark(25);
+      mark(kPhaseBit);
       p.expect('{');
       if (p.peek() != '}') {
         while (true) {
@@ -239,59 +251,34 @@ RunRecord parse_record_line(std::string_view line) {
         }
       }
       p.expect('}');
-    } else if (key == "lp_solves") {
-      mark(13), r.lp_solves = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "lp_iterations") {
-      mark(14),
-          r.lp_iterations = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "lp_dual_solves") {
-      mark(15),
-          r.lp_dual_solves = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "fixed_vars") {
-      mark(16),
-          r.fixed_vars = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "lp_audits_suspect") {
-      mark(26), r.lp_audits_suspect =
-                    to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "lp_recoveries") {
-      mark(27),
-          r.lp_recoveries = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "lp_oracle_fallbacks") {
-      mark(28), r.lp_oracle_fallbacks =
-                    to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "cg_columns") {
-      mark(29),
-          r.cg_columns = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "cg_pricing_rounds") {
-      mark(30), r.cg_pricing_rounds =
-                    to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "cg_fallbacks") {
-      mark(31),
-          r.cg_fallbacks = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "nodes") {
-      mark(17), r.nodes = to_integer<std::size_t>(p.parse_number_token(), p);
-    } else if (key == "lp_bounds_used") {
-      mark(18),
-          r.lp_bounds_used = to_integer<std::size_t>(p.parse_number_token(), p);
     } else if (key == "proven_optimal") {
-      mark(19), r.proven_optimal = to_bool(p.parse_number_token(), p);
+      mark(14), r.proven_optimal = to_bool(p.parse_number_token(), p);
     } else if (key == "gap") {
-      mark(20), r.gap = to_double(p.parse_number_token(), p);
+      mark(15), r.gap = to_double(p.parse_number_token(), p);
     } else if (key == "epsilon") {
-      mark(21), r.epsilon = to_double(p.parse_number_token(), p);
+      mark(16), r.epsilon = to_double(p.parse_number_token(), p);
     } else if (key == "precision") {
-      mark(22), r.precision = to_double(p.parse_number_token(), p);
+      mark(17), r.precision = to_double(p.parse_number_token(), p);
     } else if (key == "time_limit_s") {
-      mark(23), r.time_limit_s = to_double(p.parse_number_token(), p);
+      mark(18), r.time_limit_s = to_double(p.parse_number_token(), p);
     } else if (key == "error") {
-      mark(24), r.error = p.parse_string();
+      mark(19), r.error = p.parse_string();
+    } else if (const std::size_t c = counter_index(key);
+               c < kSolverCounterCount) {
+      mark(kCounterBit + c);
+      r.*kSolverCounters[c].field =
+          to_integer<std::size_t>(p.parse_number_token(), p);
     } else {
       p.fail("unknown key '" + key + "'");
     }
   }
   p.expect('}');
   if (!p.at_end()) p.fail("trailing content");
-  if ((seen & ((1u << 25) - 1)) != (1u << 25) - 1) p.fail("missing keys");
+  std::uint64_t required = (bit(kCounterBit) - 1) & ~bit(kPhaseBit);
+  for (std::size_t c = 0; c < kSolverCounterCount; ++c) {
+    if (kSolverCounters[c].required) required |= bit(kCounterBit + c);
+  }
+  if ((seen & required) != required) p.fail("missing keys");
   return r;
 }
 
@@ -355,18 +342,9 @@ void write_jsonl(std::ostream& os, const RunRecord& r) {
   write_double(os, r.time_ms);
   os << ",\"phase_ms\":";
   write_phase_object(os, r.phase_ms);
-  os << ",\"lp_solves\":" << r.lp_solves;
-  os << ",\"lp_iterations\":" << r.lp_iterations;
-  os << ",\"lp_dual_solves\":" << r.lp_dual_solves;
-  os << ",\"fixed_vars\":" << r.fixed_vars;
-  os << ",\"lp_audits_suspect\":" << r.lp_audits_suspect;
-  os << ",\"lp_recoveries\":" << r.lp_recoveries;
-  os << ",\"lp_oracle_fallbacks\":" << r.lp_oracle_fallbacks;
-  os << ",\"cg_columns\":" << r.cg_columns;
-  os << ",\"cg_pricing_rounds\":" << r.cg_pricing_rounds;
-  os << ",\"cg_fallbacks\":" << r.cg_fallbacks;
-  os << ",\"nodes\":" << r.nodes;
-  os << ",\"lp_bounds_used\":" << r.lp_bounds_used;
+  for (const CounterInfo& c : kSolverCounters) {
+    os << ",\"" << c.name << "\":" << r.*c.field;
+  }
   os << ",\"proven_optimal\":" << (r.proven_optimal ? "true" : "false");
   os << ",\"gap\":";
   write_double(os, r.gap);
@@ -401,11 +379,9 @@ std::vector<RunRecord> read_jsonl(std::istream& is) {
 
 void write_csv(std::ostream& os, std::span<const RunRecord> records) {
   os << "solver,preset,seed,cell_seed,n,m,classes,status,makespan,"
-        "lower_bound,ratio,setups,time_ms,phase_ms,lp_solves,lp_iterations,"
-        "lp_dual_solves,fixed_vars,lp_audits_suspect,lp_recoveries,"
-        "lp_oracle_fallbacks,cg_columns,cg_pricing_rounds,cg_fallbacks,nodes,"
-        "lp_bounds_used,proven_optimal,gap,epsilon,precision,time_limit_s,"
-        "error\n";
+        "lower_bound,ratio,setups,time_ms,phase_ms";
+  for (const CounterInfo& c : kSolverCounters) os << ',' << c.name;
+  os << ",proven_optimal,gap,epsilon,precision,time_limit_s,error\n";
   for (const RunRecord& r : records) {
     write_csv_field(os, r.solver);
     os << ',';
@@ -436,13 +412,8 @@ void write_csv(std::ostream& os, std::span<const RunRecord> records) {
       }
       write_csv_field(os, phases.str());
     }
-    os << ',' << r.lp_solves << ',' << r.lp_iterations << ','
-       << r.lp_dual_solves << ',' << r.fixed_vars << ','
-       << r.lp_audits_suspect << ',' << r.lp_recoveries << ','
-       << r.lp_oracle_fallbacks << ',' << r.cg_columns << ','
-       << r.cg_pricing_rounds << ',' << r.cg_fallbacks << ',' << r.nodes
-       << ',' << r.lp_bounds_used << ','
-       << (r.proven_optimal ? "true" : "false") << ',';
+    for (const CounterInfo& c : kSolverCounters) os << ',' << r.*c.field;
+    os << ',' << (r.proven_optimal ? "true" : "false") << ',';
     write_double(os, r.gap);
     os << ',';
     write_double(os, r.epsilon);

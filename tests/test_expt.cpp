@@ -7,6 +7,7 @@
 
 #include "api/registry.h"
 #include "common/check.h"
+#include "core/counters.h"
 #include "expt/aggregate.h"
 #include "expt/harness.h"
 #include "expt/plan.h"
@@ -311,6 +312,99 @@ TEST(ExptRecordIo, CsvHeaderAndQuoting) {
             std::string::npos);
 }
 
+// Table-driven over core/counters.h, so a counter added to the table is
+// covered here without editing the test.
+TEST(ExptRecordIo, EveryCounterRoundTripsInTableOrder) {
+  RunRecord r = sample_record();
+  r.phase_ms = obs::PhaseTimes{};  // no nested keys: top-level keys only
+  for (std::size_t c = 0; c < kSolverCounterCount; ++c) {
+    r.*kSolverCounters[c].field = 1000 + c;
+  }
+  std::ostringstream jsonl;
+  write_jsonl(jsonl, r);
+  const std::string line = jsonl.str();
+  std::istringstream jsonl_in(line);
+  const std::vector<RunRecord> back = read_jsonl(jsonl_in);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0], r);
+
+  // The CSV header is the JSONL key order, and the counters appear in it in
+  // table order, each value under its own column.
+  std::vector<std::string> keys;
+  for (std::size_t pos = 0; (pos = line.find("\":", pos)) != std::string::npos;
+       ++pos) {
+    const std::size_t open = line.rfind('"', pos - 1);
+    keys.push_back(line.substr(open + 1, pos - open - 1));
+  }
+  std::ostringstream csv;
+  write_csv(csv, std::vector<RunRecord>{r});
+  const auto split = [](const std::string& text) {
+    std::vector<std::string> fields(1);
+    for (const char ch : text) {
+      if (ch == ',') {
+        fields.emplace_back();
+      } else {
+        fields.back() += ch;
+      }
+    }
+    return fields;
+  };
+  std::istringstream csv_lines(csv.str());
+  std::string header_line, row_line;
+  std::getline(csv_lines, header_line);
+  std::getline(csv_lines, row_line);
+  const std::vector<std::string> header = split(header_line);
+  const std::vector<std::string> row = split(row_line);
+  EXPECT_EQ(header, keys);
+  ASSERT_EQ(row.size(), header.size());
+  std::vector<std::string> counter_columns;
+  for (std::size_t i = 0; i < header.size(); ++i) {
+    for (std::size_t c = 0; c < kSolverCounterCount; ++c) {
+      if (header[i] != kSolverCounters[c].name) continue;
+      counter_columns.push_back(header[i]);
+      EXPECT_EQ(row[i], std::to_string(1000 + c)) << header[i];
+    }
+  }
+  ASSERT_EQ(counter_columns.size(), kSolverCounterCount);
+  for (std::size_t c = 0; c < kSolverCounterCount; ++c) {
+    EXPECT_EQ(counter_columns[c], kSolverCounters[c].name);
+  }
+
+  // A line without a required counter is rejected; an optional one reads
+  // back as 0 (lines written before the counter existed).
+  for (const CounterInfo& info : kSolverCounters) {
+    const std::string key = ",\"" + std::string(info.name) + "\":";
+    const std::size_t at = line.find(key);
+    ASSERT_NE(at, std::string::npos) << info.name;
+    std::string erased = line;
+    erased.erase(at, line.find_first_of(",}", at + key.size()) - at);
+    std::istringstream legacy(erased);
+    if (info.required) {
+      EXPECT_THROW((void)read_jsonl(legacy), CheckError) << info.name;
+      continue;
+    }
+    const std::vector<RunRecord> parsed = read_jsonl(legacy);
+    ASSERT_EQ(parsed.size(), 1u) << info.name;
+    RunRecord expected = r;
+    expected.*info.field = 0;
+    EXPECT_EQ(parsed[0], expected) << info.name;
+  }
+}
+
+TEST(SolverCountersTable, PlusEqualsSumsEveryField) {
+  SolverCounters sum;
+  SolverCounters other;
+  for (std::size_t c = 0; c < kSolverCounterCount; ++c) {
+    sum.*kSolverCounters[c].field = c + 1;
+    other.*kSolverCounters[c].field = 100 * (c + 1);
+  }
+  sum += other;
+  for (std::size_t c = 0; c < kSolverCounterCount; ++c) {
+    EXPECT_EQ(sum.*kSolverCounters[c].field, 101 * (c + 1))
+        << kSolverCounters[c].name;
+  }
+}
+
 // --- harness ---------------------------------------------------------------
 
 ExperimentPlan small_plan(std::size_t threads) {
@@ -559,9 +653,12 @@ TEST(ExptAggregate, MatchesHandComputedFixture) {
   EXPECT_DOUBLE_EQ(summaries[2].time_p50_ms, 20.0);
   // percentile([10,20,30], 0.95): position 1.9 -> 20 * 0.1 + 30 * 0.9 = 29.
   EXPECT_NEAR(summaries[2].time_p95_ms, 29.0, 1e-12);
-  EXPECT_DOUBLE_EQ(summaries[2].lp_solves_mean, 8.0);
-  EXPECT_DOUBLE_EQ(summaries[2].lp_iterations_mean, 400.0);
-  EXPECT_DOUBLE_EQ(summaries[0].lp_solves_mean, 0.0);
+  EXPECT_DOUBLE_EQ(
+      summaries[2].counter_mean(&SolverCounters::lp_solves), 8.0);
+  EXPECT_DOUBLE_EQ(
+      summaries[2].counter_mean(&SolverCounters::lp_iterations), 400.0);
+  EXPECT_DOUBLE_EQ(
+      summaries[0].counter_mean(&SolverCounters::lp_solves), 0.0);
   // Certificates: proven counts solver-certified optima only; gap_mean
   // averages the certified cells ({0.0, 0.25}) and ignores the -1 sentinel.
   EXPECT_EQ(summaries[2].proven, 1u);
@@ -593,9 +690,12 @@ TEST(ExptAggregate, GuardCounterMeansAverageOkCells) {
   const std::vector<AggregateSummary> summaries =
       aggregate(std::vector<RunRecord>{a, b, c});
   ASSERT_EQ(summaries.size(), 1u);
-  EXPECT_DOUBLE_EQ(summaries[0].lp_audits_suspect_mean, 3.0);
-  EXPECT_DOUBLE_EQ(summaries[0].lp_recoveries_mean, 2.5);
-  EXPECT_DOUBLE_EQ(summaries[0].lp_oracle_fallbacks_mean, 0.5);
+  EXPECT_DOUBLE_EQ(
+      summaries[0].counter_mean(&SolverCounters::lp_audits_suspect), 3.0);
+  EXPECT_DOUBLE_EQ(
+      summaries[0].counter_mean(&SolverCounters::lp_recoveries), 2.5);
+  EXPECT_DOUBLE_EQ(
+      summaries[0].counter_mean(&SolverCounters::lp_oracle_fallbacks), 0.5);
 }
 
 TEST(ExptAggregate, SummaryTableHasOneRowPerBucket) {

@@ -19,10 +19,12 @@ Four rules, each protecting an invariant the compiler cannot see:
                Suppress per line: `// lint: allow-tolerance (reason)`,
                or whole file: `// lint: allow-tolerance-file (reason)`.
 
-  counters     Every std::size_t counter in SolverStats (src/core/result.h)
-               must be plumbed through the record pipeline: src/expt/record.h,
-               src/expt/record_io.cpp, and docs/BENCH_SCHEMA.md. A counter
-               that stops here is silently dropped from every artifact.
+  counters     Every entry of the SETSCHED_SOLVER_COUNTERS table
+               (src/core/counters.h) must be documented in
+               docs/BENCH_SCHEMA.md. The table generates the struct fields
+               and every record-pipeline sink, so the schema page is the one
+               copy left to keep in step; an entry it omits is an undocumented
+               JSONL/CSV column.
 
   raw-mutex    No naked std::mutex / lock / condition_variable types outside
                src/common/annotations.h. Concurrency in src/ goes through the
@@ -46,9 +48,8 @@ FLOAT_EQ_SCOPE = ("src/lp", "src/exact")
 MUTEX_SCOPE = ("src",)
 MUTEX_EXEMPT = {"src/common/annotations.h"}
 
-COUNTER_SOURCE = "src/core/result.h"
-COUNTER_SINKS = ("src/expt/record.h", "src/expt/record_io.cpp",
-                 "docs/BENCH_SCHEMA.md")
+COUNTER_SOURCE = "src/core/counters.h"
+COUNTER_DOC = "docs/BENCH_SCHEMA.md"
 
 SUPPRESS_RE = re.compile(
     r"lint:\s*allow-(?P<rule>tolerance-file|tolerance|float-eq|raw-mutex)"
@@ -66,7 +67,7 @@ RAW_MUTEX_RE = re.compile(
     r"\bstd::(?:recursive_|timed_|shared_)?mutex\b"
     r"|\bstd::(?:scoped_lock|lock_guard|unique_lock|shared_lock)\b"
     r"|\bstd::condition_variable(?:_any)?\b")
-COUNTER_RE = re.compile(r"^\s*std::size_t\s+(\w+)\s*=")
+COUNTER_RE = re.compile(r"^\s*X\((\w+),")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -192,6 +193,10 @@ class Linter:
 
     def check_counters(self):
         source = self.root / COUNTER_SOURCE
+        if not source.exists():
+            self.report(source, 1, "counters",
+                        f"counter table {COUNTER_SOURCE} is missing")
+            return
         counters = []
         for idx, line in enumerate(source.read_text().splitlines(), start=1):
             m = COUNTER_RE.match(line)
@@ -199,25 +204,22 @@ class Linter:
                 counters.append((m.group(1), idx))
         if not counters:
             self.report(source, 1, "counters",
-                        "found no std::size_t counters in SolverStats; "
+                        "found no SETSCHED_SOLVER_COUNTERS entries; "
                         "the lint's parser is out of date")
             return
-        sink_texts = {}
-        for sink in COUNTER_SINKS:
-            sink_path = self.root / sink
-            if not sink_path.exists():
-                self.report(source, 1, "counters",
-                            f"record-pipeline file {sink} is missing")
-                return
-            sink_texts[sink] = sink_path.read_text()
+        doc = self.root / COUNTER_DOC
+        if not doc.exists():
+            self.report(source, 1, "counters",
+                        f"schema page {COUNTER_DOC} is missing")
+            return
+        doc_text = doc.read_text()
         for name, line_no in counters:
-            for sink, text in sink_texts.items():
-                if not re.search(rf"\b{re.escape(name)}\b", text):
-                    self.report(
-                        source, line_no, "counters",
-                        f"SolverStats counter '{name}' is not plumbed "
-                        f"through {sink}; every counter must reach the "
-                        "record pipeline and its schema docs")
+            if f"`{name}`" not in doc_text:
+                self.report(
+                    source, line_no, "counters",
+                    f"counter '{name}' is not documented in {COUNTER_DOC}; "
+                    "every table entry is a JSONL/CSV column and needs a "
+                    "schema row")
 
     def run(self) -> int:
         files = sorted((self.root / "src").rglob("*.h"))
@@ -246,7 +248,6 @@ def self_test() -> int:
         root = pathlib.Path(tmp)
         (root / "src/lp").mkdir(parents=True)
         (root / "src/core").mkdir(parents=True)
-        (root / "src/expt").mkdir(parents=True)
         (root / "docs").mkdir(parents=True)
         (root / "src/lp/bad.cpp").write_text(
             "void f(double x) {\n"
@@ -257,11 +258,11 @@ def self_test() -> int:
             "  double bare = 1e-8;   // lint: allow-tolerance\n"  # no reason
             "  std::mutex m;\n"                         # raw-mutex fires
             "}\n")
-        (root / "src/core/result.h").write_text(
-            "struct SolverStats {\n  std::size_t ghost_counter = 0;\n};\n")
-        (root / "src/expt/record.h").write_text("// no counters\n")
-        (root / "src/expt/record_io.cpp").write_text("// no counters\n")
-        (root / "docs/BENCH_SCHEMA.md").write_text("no counters\n")
+        (root / "src/core/counters.h").write_text(
+            "#define SETSCHED_SOLVER_COUNTERS(X) \\\n"
+            "  X(lp_solves, \"lp_solves\", true, \"documented\") \\\n"
+            "  X(ghost_counter, \"ghost\", false, \"undocumented\")\n")
+        (root / "docs/BENCH_SCHEMA.md").write_text("| `lp_solves` | uint |\n")
 
         linter = Linter(root)
         for path in sorted((root / "src").rglob("*.cpp")):
@@ -292,6 +293,10 @@ def self_test() -> int:
                    for v in linter.violations):
                 print(f"self-test FAILED: legal pattern '{legal}' flagged")
                 failed = True
+        if any("[counters]" in v and "'lp_solves'" in v
+               for v in linter.violations):
+            print("self-test FAILED: documented counter 'lp_solves' flagged")
+            failed = True
         if failed:
             print(text)
             return 1
