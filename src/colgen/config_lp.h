@@ -40,14 +40,15 @@ enum class ConfigLpStatus {
   kIterationLimit,
 };
 
-struct ConfigLpResult {
+/// The SolverCounters base carries the RMP effort: lp_solves (one per
+/// round that reached the master), and iterations, dual solves and guard
+/// counts summed over those solves.
+struct ConfigLpResult : SolverCounters {
   ConfigLpStatus status = ConfigLpStatus::kIterationLimit;
   FractionalAssignment fractional;  ///< valid iff kFeasible
   double coverage = 0.0;            ///< final RMP objective (<= n)
   std::size_t columns = 0;
-  std::size_t iterations = 0;
-  std::size_t lp_solves = 0;          ///< RMP solves (== rounds run)
-  std::size_t simplex_iterations = 0; ///< summed over all RMP solves
+  std::size_t iterations = 0;       ///< column-generation rounds
 };
 
 [[nodiscard]] ConfigLpResult solve_config_lp(const Instance& instance, double T,

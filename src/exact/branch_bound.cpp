@@ -26,6 +26,7 @@ using exact::ConfigLpBounder;
 using exact::DominanceTable;
 using exact::LpBounder;
 using exact::SearchPlan;
+using exact::SetupMask;
 
 /// One "node" instant per counted search node, tagged with why the node
 /// terminated (or "expanded" when it branched). tools/analyze_trace.py
@@ -154,7 +155,7 @@ class ProveSolver {
       const obs::TraceSpan span("prove", "exact");
       current_ = Schedule::empty(inst_.num_jobs());
       loads_.assign(m_, 0.0);
-      class_on_.assign(m_ * kc_, 0);
+      setups_ = SetupMask(m_, kc_);
       if (opt_.memo_limit > 0) {
         memo_.emplace(inst_.num_jobs() + 1, m_, kc_, opt_.memo_limit);
       }
@@ -258,7 +259,7 @@ class ProveSolver {
       bool dominated = false;
       {
         const obs::PhaseTimer dom_timer(obs::Phase::kDominance);
-        dominated = memo_->dominated_or_record(depth, loads_, class_on_);
+        dominated = memo_->dominated_or_record(depth, loads_, setups_);
       }
       if (dominated) {
         emit_node("dominance", depth);
@@ -322,10 +323,10 @@ class ProveSolver {
     for (MachineId i = 0; i < m_; ++i) {
       if (!inst_.eligible(i, j)) continue;
       if (bounder_ && bounder_->pair_fixed(j, i)) continue;
-      if (exact::symmetric_duplicate(inst_, plan_, i, loads_, class_on_)) {
+      if (exact::symmetric_duplicate(plan_, i, loads_, setups_)) {
         continue;
       }
-      const bool has_setup = class_on_[i * kc_ + k] != 0;
+      const bool has_setup = setups_.test(i, k);
       const double add_setup = has_setup ? 0.0 : inst_.setup(i, k);
       const double new_load = loads_[i] + inst_.proc(i, j) + add_setup;
       if (new_load >= prune_at_) continue;  // this branch cannot be accepted
@@ -347,9 +348,8 @@ class ProveSolver {
       const MachineId i = o.machine;
       const double old_load = loads_[i];
       loads_[i] = o.new_load;
-      char& flag = class_on_[i * kc_ + k];
-      const char old_flag = flag;
-      flag = 1;
+      const bool had_setup = setups_.test(i, k);
+      setups_.set(i, k);
       current_.assignment[j] = i;
       if (pin) bounder_->pin(j, i);
       if (cg_pin) cg_bounder_->pin(j, i);
@@ -359,7 +359,7 @@ class ProveSolver {
       if (cg_pin) cg_bounder_->unpin(j);
       if (pin) bounder_->unpin(j);
       current_.assignment[j] = kUnassigned;
-      flag = old_flag;
+      if (!had_setup) setups_.reset(i, k);
       loads_[i] = old_load;
       if (aborted_ || optimal_reached_) return;  // search over; no unfix
     }
@@ -392,7 +392,9 @@ class ProveSolver {
 
   Schedule current_ = Schedule::empty(0);
   std::vector<double> loads_;
-  std::vector<char> class_on_;
+  /// Paid-setup mask of the current path, flipped bit by bit as setups are
+  /// paid and undone; the memo reads it as is.
+  SetupMask setups_;
 
   Schedule best_schedule_ = Schedule::empty(0);
   double incumbent_ = kInfinity;

@@ -9,6 +9,7 @@
 #include "common/timer.h"
 #include "core/bounds.h"
 #include "core/schedule.h"
+#include "exact/dominance.h"
 #include "exact/lp_bound.h"
 #include "exact/search_util.h"
 #include "exact/tolerances.h"
@@ -24,26 +25,13 @@ namespace {
 struct BeamState {
   std::vector<MachineId> assignment;  ///< full n, kUnassigned beyond depth
   std::vector<double> loads;
-  std::vector<char> class_on;  ///< m x K paid-setup matrix, row-major
+  SetupMask setups;
   double max_load = 0.0;
   double total_load = 0.0;
   /// Completion lower bound (beam priority): max of the current makespan and
   /// the average-load bound over the remaining jobs.
   double score = 0.0;
 };
-
-/// True iff `kept` (a better-scored state) makes `candidate` redundant:
-/// pointwise <= loads and >= paid setups, so every completion of the
-/// candidate is matched or beaten.
-bool dominated_by(const BeamState& kept, const BeamState& candidate) {
-  for (std::size_t i = 0; i < kept.loads.size(); ++i) {
-    if (kept.loads[i] > candidate.loads[i] + kDominanceLoadSlack) return false;
-  }
-  for (std::size_t e = 0; e < kept.class_on.size(); ++e) {
-    if (candidate.class_on[e] != 0 && kept.class_on[e] == 0) return false;
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -120,7 +108,7 @@ ExactResult dive_search(const Instance& inst, const ExactOptions& opt) {
   std::vector<BeamState> beam(1);
   beam[0].assignment.assign(n, kUnassigned);
   beam[0].loads.assign(m, 0.0);
-  beam[0].class_on.assign(m * kc, 0);
+  beam[0].setups = SetupMask(m, kc);
   beam[0].score = lower_bound;
 
   std::vector<BeamState> children;
@@ -148,10 +136,10 @@ ExactResult dive_search(const Instance& inst, const ExactOptions& opt) {
       for (MachineId i = 0; i < m; ++i) {
         if (!inst.eligible(i, j)) continue;
         if (bounder && bounder->pair_fixed(j, i)) continue;
-        if (symmetric_duplicate(inst, plan, i, state.loads, state.class_on)) {
+        if (symmetric_duplicate(plan, i, state.loads, state.setups)) {
           continue;
         }
-        const bool has_setup = state.class_on[i * kc + k] != 0;
+        const bool has_setup = state.setups.test(i, k);
         const double add_setup = has_setup ? 0.0 : inst.setup(i, k);
         const double new_load = state.loads[i] + inst.proc(i, j) + add_setup;
         // Cutoff cut before the (expensive) state copy: every completion of
@@ -161,7 +149,7 @@ ExactResult dive_search(const Instance& inst, const ExactOptions& opt) {
         BeamState child = state;
         child.assignment[j] = i;
         child.loads[i] = new_load;
-        child.class_on[i * kc + k] = 1;
+        child.setups.set(i, k);
         child.total_load += inst.proc(i, j) + add_setup;
         child.max_load = std::max(child.max_load, new_load);
         child.score = std::max(
@@ -191,13 +179,17 @@ ExactResult dive_search(const Instance& inst, const ExactOptions& opt) {
     {
       const obs::PhaseTimer dom_timer(obs::Phase::kDominance);
       for (BeamState& child : children) {
+        // A kept (better-scored) state that dominates the child makes it
+        // redundant: every completion of the child is matched or beaten.
+        const DominanceQuery query(child.loads, child.setups);
         bool redundant = false;
         const std::size_t scan =
             opt.dive_dominance_scan == 0
                 ? kept.size()
                 : std::min(kept.size(), opt.dive_dominance_scan);
         for (std::size_t s = 0; s < scan && !redundant; ++s) {
-          redundant = dominated_by(kept[s], child);
+          redundant = query.dominated_by(kept[s].loads.data(),
+                                         kept[s].setups.words());
         }
         if (redundant) continue;
         if (kept.size() >= level_width) {

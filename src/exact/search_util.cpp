@@ -66,20 +66,15 @@ SearchPlan build_search_plan(const Instance& instance) {
   return plan;
 }
 
-bool symmetric_duplicate(const Instance& instance, const SearchPlan& plan,
-                         MachineId i, const std::vector<double>& loads,
-                         const std::vector<char>& class_on) {
+bool symmetric_duplicate(const SearchPlan& plan, MachineId i,
+                         const std::vector<double>& loads,
+                         const SetupMask& setups) {
   const MachineId rep = plan.machine_rep[i];
   if (rep == i) return false;
-  const std::size_t kc = instance.num_classes();
   for (MachineId r = rep; r < i; ++r) {
     if (plan.machine_rep[r] != rep) continue;
     if (loads[r] != loads[i]) continue;
-    bool same = true;
-    for (ClassId k = 0; k < kc && same; ++k) {
-      same = class_on[r * kc + k] == class_on[i * kc + k];
-    }
-    if (same) return true;
+    if (setups.same_row(r, i)) return true;
   }
   return false;
 }

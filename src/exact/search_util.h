@@ -4,6 +4,7 @@
 
 #include "core/instance.h"
 #include "exact/branch_bound.h"
+#include "exact/dominance.h"
 
 namespace setsched::exact {
 
@@ -29,12 +30,10 @@ struct SearchPlan {
 /// True iff machine `i` duplicates an earlier candidate under the current
 /// search state: some equivalent machine r < i has the same load and the
 /// same paid-setup row, so branching on r already covers i up to the swap
-/// automorphism. `class_on` is the m x num_classes paid-setup matrix in
-/// row-major layout.
-[[nodiscard]] bool symmetric_duplicate(const Instance& instance,
-                                       const SearchPlan& plan, MachineId i,
+/// automorphism.
+[[nodiscard]] bool symmetric_duplicate(const SearchPlan& plan, MachineId i,
                                        const std::vector<double>& loads,
-                                       const std::vector<char>& class_on);
+                                       const SetupMask& setups);
 
 /// Fills the certificate fields of `out` (proven_optimal, lower_bound, gap)
 /// from the incumbent makespan, the best certified lower bound, and whether

@@ -17,12 +17,25 @@
 
 namespace setsched::exact {
 
-/// Pointwise machine-load slack of the dominance tests (the beam's
-/// dominated_by scan and the per-depth dominance memo): a kept state's load
-/// may exceed the candidate's by this much and still count as <=. Absolute,
-/// not relative — loads are sums of O(n) doubles, whose representation error
-/// is far below this at every benchmarked scale.
+/// Pointwise machine-load slack of the dominance predicate (DominanceQuery
+/// in exact/dominance.h, shared by the beam and the per-depth memo): a kept
+/// state's load may exceed the candidate's by this much and still count as
+/// <=. Absolute, not relative — loads are sums of O(n) doubles, whose
+/// representation error is far below this at every benchmarked scale.
 inline constexpr double kDominanceLoadSlack = 1e-12;
+
+/// Floating-point rounding margin of the dominance memo's load-sum index
+/// (exact/dominance.h), relative and per machine. A stored state can only
+/// dominate a query if its computed load sum is at most
+/// (ŝ + m·kDominanceLoadSlack)·(1 + m·kDominanceSumRelMargin), where ŝ is
+/// the query's computed sum. The memo scans only the stored states under
+/// that bound. With u = 2^-53 (about 1.11e-16), the pointwise slack test
+/// and the two left-to-right sums of m non-negative loads move the exact
+/// bound by a factor of at most 1 + (2m-1)u + O(m²u²). Evaluating the bound
+/// itself costs at most five more roundings, and rounding 1 + m·margin one
+/// more. 1e-15 is about 9u, and (9m - 1)u >= (2m + 4)u for every m >= 1. A
+/// larger margin only scans more states; it never changes a verdict.
+inline constexpr double kDominanceSumRelMargin = 1e-15;
 
 /// Incumbent pruning cutoff: branches whose bound reaches
 /// incumbent - kIncumbentPruneSlack are dropped. Ties with the incumbent are

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/counters.h"
 #include "lp/model.h"
 
 namespace setsched::lp {
@@ -98,6 +99,19 @@ struct Solution {
            audit_verdict == AuditVerdict::kFailed;
   }
 };
+
+/// Folds one solve's effort into `counters`: its simplex iterations, a dual
+/// solve when the dual simplex produced it, and the guard ladder's audit,
+/// recovery and oracle counts. Call it once per lp::solve whose effort a
+/// solver reports, so no counter is dropped by a hand-written copy. The
+/// caller keeps lp_solves: some count probes answered without a solve.
+inline void add_solve_effort(const Solution& sol, SolverCounters* counters) {
+  counters->lp_iterations += sol.iterations;
+  if (sol.via_dual) ++counters->lp_dual_solves;
+  counters->lp_audits_suspect += sol.audits_suspect;
+  counters->lp_recoveries += sol.recoveries;
+  counters->lp_oracle_fallbacks += sol.oracle_fallbacks;
+}
 
 /// Which simplex implementation solve() runs.
 enum class SimplexAlgorithm : std::uint8_t {

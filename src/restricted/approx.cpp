@@ -17,8 +17,7 @@ constexpr double kShareEps = 1e-7;
 struct LpWindow {
   RelaxedLp lp;
   double lower_bound = 0.0;
-  std::size_t solves = 0;
-  std::size_t iterations = 0;
+  SolverCounters effort;  ///< lp_solves counts every probe of the search
 };
 
 /// Geometric binary search for (nearly) the smallest LP-RelaxedRA-feasible T.
@@ -32,19 +31,19 @@ LpWindow search_relaxed_lp(const Instance& instance, double precision,
   double hi = std::max(lo, unrelated_upper_bound(instance));
 
   LpWindow out;
-  ++out.solves;
-  if (auto at_lo = solve_relaxed_lp(instance, lo, simplex, &out.iterations)) {
+  ++out.effort.lp_solves;
+  if (auto at_lo = solve_relaxed_lp(instance, lo, simplex, &out.effort)) {
     out.lp = std::move(*at_lo);
     out.lower_bound = lo;
     return out;
   }
-  ++out.solves;
-  auto best = solve_relaxed_lp(instance, hi, simplex, &out.iterations);
+  ++out.effort.lp_solves;
+  auto best = solve_relaxed_lp(instance, hi, simplex, &out.effort);
   check(best.has_value(), "LP-RelaxedRA infeasible at a feasible makespan");
   while (hi / lo > 1.0 + precision) {
     const double mid = std::sqrt(lo * hi);
-    ++out.solves;
-    if (auto sol = solve_relaxed_lp(instance, mid, simplex, &out.iterations)) {
+    ++out.effort.lp_solves;
+    if (auto sol = solve_relaxed_lp(instance, mid, simplex, &out.effort)) {
       hi = mid;
       best = std::move(sol);
     } else {
@@ -141,8 +140,7 @@ ConstantApproxResult two_approx_restricted(const Instance& instance,
   out.schedule = std::move(schedule);
   out.lp_T = window.lp.T;
   out.lp_lower_bound = window.lower_bound;
-  out.lp_solves = window.solves;
-  out.lp_iterations = window.iterations;
+  static_cast<SolverCounters&>(out) = window.effort;
   check(out.makespan <= 2.0 * out.lp_T + 1e-6,
         "2-approx exceeded its proven bound");
   return out;
@@ -191,8 +189,7 @@ ConstantApproxResult three_approx_class_uniform(const Instance& instance,
   out.schedule = std::move(schedule);
   out.lp_T = window.lp.T;
   out.lp_lower_bound = window.lower_bound;
-  out.lp_solves = window.solves;
-  out.lp_iterations = window.iterations;
+  static_cast<SolverCounters&>(out) = window.effort;
   check(out.makespan <= 3.0 * out.lp_T + 1e-6,
         "3-approx exceeded its proven bound");
   return out;

@@ -50,7 +50,7 @@ ClassData compute_class_data(const Instance& instance) {
 
 std::optional<RelaxedLp> solve_relaxed_lp(const Instance& instance, double T,
                                           const lp::SimplexOptions& options,
-                                          std::size_t* iterations) {
+                                          SolverCounters* effort) {
   const std::size_t m = instance.num_machines();
   const std::size_t kc = instance.num_classes();
   const auto by_class = instance.jobs_by_class();
@@ -101,7 +101,7 @@ std::optional<RelaxedLp> solve_relaxed_lp(const Instance& instance, double T,
   }
 
   const lp::Solution sol = lp::solve(model, options);
-  if (iterations != nullptr) *iterations += sol.iterations;
+  if (effort != nullptr) lp::add_solve_effort(sol, effort);
   if (sol.status == lp::SolveStatus::kInfeasible) return std::nullopt;
   check(sol.optimal(), "LP-RelaxedRA solve failed");
 

@@ -207,14 +207,10 @@ lp::Solution ParametricAssignmentLp::run_solve(double T) {
   }
   if (!basis_.empty()) simplex.warm_start = &basis_;
   sol = lp::solve(model_, simplex);
-  counters_.lp_iterations += sol.iterations;
+  lp::add_solve_effort(sol, &counters_);
   last_iterations_ = sol.iterations;
   last_via_dual_ = sol.via_dual;
   last_verdict_ = sol.audit_verdict;
-  counters_.lp_audits_suspect += sol.audits_suspect;
-  counters_.lp_recoveries += sol.recoveries;
-  counters_.lp_oracle_fallbacks += sol.oracle_fallbacks;
-  if (sol.via_dual) ++counters_.lp_dual_solves;
   // Optimal bases always join the warm-start chain. An infeasible probe's
   // basis joins only when the dual simplex produced it: a dual-terminal
   // basis is still dual-feasible and re-optimizes the next probe in a few

@@ -23,11 +23,10 @@ struct RoundingOptions {
   ThreadPool* pool = nullptr;
 };
 
-/// The inherited counters report the LP work: every solve of the T-search
-/// (direct path, with its dual re-optimizations and guard counters; the
+/// The inherited counters report the LP work, dual re-optimizations and
+/// guard counters included: every solve of the T-search (direct path; the
 /// guard counts stay 0 unless AssignmentLpOptions::audit_interval enables
-/// the audits) or every RMP solve of every config-LP probe (colgen path,
-/// which reports neither dual solves nor guard counters).
+/// the audits) or every RMP solve of every config-LP probe (colgen path).
 struct RoundingResult : SolverCounters {
   Schedule schedule;
   double makespan = 0.0;

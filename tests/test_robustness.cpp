@@ -16,6 +16,7 @@
 #include "common/check.h"
 #include "core/instance.h"
 #include "core/schedule.h"
+#include "expt/harness.h"
 #include "expt/record_io.h"
 
 namespace setsched {
@@ -127,6 +128,55 @@ TEST(Robustness, EverySolverSurvivesPathologicalInstances) {
           << label << " / " << name;
     }
   }
+}
+
+/// Sums the LP guard counters of one solver's rows.
+struct GuardTotals {
+  std::size_t rows = 0;
+  std::size_t suspect = 0;
+  std::size_t recovered = 0;
+};
+
+GuardTotals guard_totals(const std::vector<expt::RunRecord>& records,
+                         const std::string& solver) {
+  GuardTotals out;
+  for (const expt::RunRecord& r : records) {
+    if (r.solver != solver || r.status != expt::RunStatus::kOk) continue;
+    ++out.rows;
+    out.suspect += r.lp_audits_suspect;
+    out.recovered += r.lp_recoveries;
+  }
+  return out;
+}
+
+// Under LP fault injection the guard's work must reach the JSONL row of
+// every LP-backed solver. The colgen RMP solves and the restricted
+// T-searches used to drop each solve's guard counters, so their rows read 0
+// while the rounding rows on the same cells read nonzero.
+TEST(Robustness, InjectedFaultsReachEveryGuardCounter) {
+  expt::ExperimentPlan plan;
+  plan.presets = {"unrelated-small"};
+  plan.solvers = {"rounding", "colgen"};
+  plan.seed_begin = 1;
+  plan.seed_end = 2;
+  plan.threads = 2;
+  plan.record_timing = false;
+  plan.inject = "all@0.05";
+  const std::vector<expt::RunRecord> records = expt::run_experiment(plan);
+  for (const std::string solver : {"rounding", "colgen"}) {
+    const GuardTotals totals = guard_totals(records, solver);
+    EXPECT_EQ(totals.rows, 2u) << solver;
+    EXPECT_GT(totals.suspect, 0u) << solver;
+    EXPECT_GT(totals.recovered, 0u) << solver;
+  }
+
+  plan.presets = {"class-uniform"};
+  plan.solvers = {"classuniform-3approx"};
+  const GuardTotals restricted =
+      guard_totals(expt::run_experiment(plan), "classuniform-3approx");
+  EXPECT_EQ(restricted.rows, 2u);
+  EXPECT_GT(restricted.suspect, 0u);
+  EXPECT_GT(restricted.recovered, 0u);
 }
 
 }  // namespace
