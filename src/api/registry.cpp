@@ -221,7 +221,7 @@ void register_builtin_solvers(SolverRegistry& registry) {
         // Configuration-LP bounds (exact/config_bound.h) on top of the
         // assignment probes, riding the dive-then-prove chain: the dive's
         // incumbent tightens the cutoff the config-LP root bisection works
-        // against, and the fine-grid root pass pushes the certified bound
+        // against, and its exactly priced probes push the certified bound
         // past what the assignment LP can see. kAuto demotes the per-node
         // pricing back to assignment-only when it is not earning its keep,
         // so the solver is never worse than `dive-then-prove` by more than

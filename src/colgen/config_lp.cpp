@@ -13,13 +13,84 @@
 
 namespace setsched {
 
+namespace {
+
+/// Snap of the dense pricer's up-rounding: a size that is an exact multiple
+/// of the grid unit up to division error keeps that multiple.
+constexpr double kGridWeightSnap =
+    1e-12;  // lint: allow-tolerance (named definition site)
+/// Agreement the dense backtrack demands between a recomputed class table
+/// and the stored boundary table (the same sums in the same order).
+constexpr double kBacktrackTol =
+    1e-9;  // lint: allow-tolerance (named definition site)
+
+/// One state of the exact pricer's Pareto lists: the load and dual value of
+/// a partial configuration, and the arena node that rebuilds its job set.
+struct ParetoLabel {
+  double load;
+  double value;
+  std::uint32_t node;
+};
+
+/// Parent-linked job-set arena: node 0 is the empty free set, every other
+/// node adds `job` to its parent's set.
+struct ParetoNode {
+  std::uint32_t parent;
+  JobId job;
+};
+
+/// out = the Pareto list of a ∪ (b shifted by (dp, dv)): both inputs are
+/// sorted by load with strictly increasing value, and so is the result. A
+/// shifted label that fits in T and survives gets a fresh arena node adding
+/// `job` when job != kUnassigned; otherwise it keeps its own node. Labels
+/// leave in load order, ties by higher value first, and one is kept only if
+/// it beats every lighter one's value, so exactly the dominated labels drop.
+void pareto_merge(const std::vector<ParetoLabel>& a,
+                  const std::vector<ParetoLabel>& b, double dp, double dv,
+                  JobId job, double T, std::vector<ParetoLabel>* out,
+                  std::vector<ParetoNode>* nodes) {
+  out->clear();
+  // b's loads only grow, so the shifted labels that fit form a prefix.
+  std::size_t nb = 0;
+  while (nb < b.size() && config_fits(b[nb].load + dp, T)) ++nb;
+  double best = -kInfinity;
+  std::size_t ia = 0;
+  std::size_t ib = 0;
+  while (ia < a.size() || ib < nb) {
+    bool from_b = ia == a.size();
+    if (!from_b && ib < nb) {
+      const double load_b = b[ib].load + dp;
+      from_b = load_b < a[ia].load ||
+               (load_b == a[ia].load && b[ib].value + dv > a[ia].value);
+    }
+    if (from_b) {
+      const ParetoLabel& l = b[ib++];
+      if (l.value + dv <= best) continue;
+      best = l.value + dv;
+      std::uint32_t node = l.node;
+      if (job != kUnassigned) {
+        node = static_cast<std::uint32_t>(nodes->size());
+        nodes->push_back({l.node, job});
+      }
+      out->push_back({l.load + dp, best, node});
+    } else {
+      const ParetoLabel& l = a[ia++];
+      if (l.value <= best) continue;
+      best = l.value;
+      out->push_back(l);
+    }
+  }
+}
+
+}  // namespace
+
 PricedConfig price_machine_config(const Instance& inst, MachineId i, double T,
                                   const std::vector<double>& dual,
                                   std::size_t grid, double tol,
                                   const std::vector<MachineId>* pinned) {
   const double unit = T / static_cast<double>(grid);
   const auto weight_of = [&](double x) -> std::size_t {
-    return static_cast<std::size_t>(std::ceil(x / unit - 1e-12));
+    return static_cast<std::size_t>(std::ceil(x / unit - kGridWeightSnap));
   };
 
   PricedConfig best;
@@ -152,7 +223,8 @@ PricedConfig price_machine_config(const Instance& inst, MachineId i, double T,
     const ClassStage& stage = stages[s];
     std::vector<char> choice(stage.items.size() * width, 0);
     const auto inner = run_class(stage, before, &choice);
-    check(std::abs(inner[w] - after[w]) < 1e-9, "pricing backtrack mismatch");
+    check(std::abs(inner[w] - after[w]) < kBacktrackTol,
+          "pricing backtrack mismatch");
     for (std::size_t t = stage.items.size(); t-- > 0;) {
       if (choice[t * width + w]) {
         best.jobs.push_back(stage.items[t].job);
@@ -161,6 +233,99 @@ PricedConfig price_machine_config(const Instance& inst, MachineId i, double T,
     }
     check(w >= stage.setup_weight, "pricing backtrack below setup weight");
     w -= stage.setup_weight;
+  }
+  best.jobs.insert(best.jobs.end(), mandatory.begin(), mandatory.end());
+  return best;
+}
+
+PricedConfig price_machine_config_exact(const Instance& inst, MachineId i,
+                                        double T,
+                                        const std::vector<double>& dual,
+                                        double tol,
+                                        const std::vector<MachineId>* pinned) {
+  PricedConfig best;
+
+  // Jobs pinned to this machine are mandatory: their load and class
+  // openings start every state, and their duals are credited
+  // unconditionally. Their load alone failing to fit certifies
+  // pins_fit = false (see config_lp.h).
+  double mandatory_load = 0.0;
+  double mandatory_value = 0.0;
+  std::vector<JobId> mandatory;
+  std::vector<char> class_pinned_open(inst.num_classes(), 0);
+  if (pinned != nullptr) {
+    for (JobId j = 0; j < inst.num_jobs(); ++j) {
+      if ((*pinned)[j] != i) continue;
+      const ClassId k = inst.job_class(j);
+      const double p = inst.proc(i, j);
+      const double s = inst.setup(i, k);
+      if (p >= kInfinity || s >= kInfinity) {
+        best.pins_fit = false;  // ineligible pin: no configuration exists
+        return best;
+      }
+      if (!class_pinned_open[k]) {
+        class_pinned_open[k] = 1;
+        mandatory_load += s;
+      }
+      mandatory_load += p;
+      mandatory_value += dual[j];
+      mandatory.push_back(j);
+    }
+    if (!config_fits(mandatory_load, T)) {
+      best.pins_fit = false;
+      return best;
+    }
+  }
+
+  // One stage per class: `front` holds the Pareto states over the classes
+  // done so far; `inner` the states that opened the current class.
+  std::vector<ParetoNode> nodes{{0, kUnassigned}};
+  std::vector<ParetoLabel> front{{mandatory_load, 0.0, 0}};
+  std::vector<ParetoLabel> inner;
+  std::vector<ParetoLabel> scratch;
+  std::vector<JobId> items;
+  const auto by_class = inst.jobs_by_class();
+  for (ClassId k = 0; k < inst.num_classes(); ++k) {
+    // A class opened by a mandatory job admits its free jobs setup-free.
+    const double s = class_pinned_open[k] ? 0.0 : inst.setup(i, k);
+    if (s >= kInfinity) continue;
+    items.clear();
+    for (const JobId j : by_class[k]) {
+      if (pinned != nullptr && (*pinned)[j] != kUnassigned) continue;
+      if (dual[j] <= tol) continue;
+      const double p = inst.proc(i, j);
+      if (p >= kInfinity || !config_fits(mandatory_load + s + p, T)) continue;
+      items.push_back(j);
+    }
+    if (items.empty()) continue;
+    inner.clear();
+    for (const ParetoLabel& l : front) {
+      if (!config_fits(l.load + s, T)) break;
+      inner.push_back({l.load + s, l.value, l.node});
+    }
+    for (const JobId j : items) {
+      pareto_merge(inner, inner, inst.proc(i, j), dual[j], j, T, &scratch,
+                   &nodes);
+      inner.swap(scratch);
+    }
+    pareto_merge(front, inner, 0.0, 0.0, kUnassigned, T, &scratch, &nodes);
+    front.swap(scratch);
+  }
+
+  // Values strictly increase along the list: the last state is the best.
+  const ParetoLabel& top = front.back();
+  if (top.value <= tol) {
+    // No worthwhile free configuration: the empty column without pins, the
+    // pinned set itself (valid and required) with them.
+    best.value = mandatory_value;
+    best.load = mandatory_load;
+    best.jobs = std::move(mandatory);
+    return best;
+  }
+  best.value = top.value + mandatory_value;
+  best.load = top.load;
+  for (std::uint32_t n = top.node; n != 0; n = nodes[n].parent) {
+    best.jobs.push_back(nodes[n].job);
   }
   best.jobs.insert(best.jobs.end(), mandatory.begin(), mandatory.end());
   return best;

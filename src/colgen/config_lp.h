@@ -9,6 +9,31 @@
 
 namespace setsched {
 
+// Named tolerances of the configuration LP (definition site).
+
+/// Default pricing tolerance: the dual-value margin a priced column must
+/// beat its machine's convexity dual by, and the per-job dual floor below
+/// which free jobs are not priced.
+inline constexpr double kConfigPricingTol =
+    1e-6;  // lint: allow-tolerance (named definition site)
+
+/// Upward fit tolerance of a configuration, relative to T: a job set fits in
+/// T iff its computed load is at most T·(1 + kConfigFitRelTol). Two
+/// floating-point sums of the same at most n + classes non-negative terms
+/// differ by a relative 2·(n + classes)·2^-53 at most, far below this at any
+/// instance size that fits in memory, so a set whose load is <= T in one
+/// summation order passes the test in every order. The tolerance only ever
+/// ADMITS sets; see the soundness block in exact/config_bound.h.
+inline constexpr double kConfigFitRelTol =
+    1e-9;  // lint: allow-tolerance (named definition site)
+
+/// The one capacity test of configuration columns: the exact pricer's
+/// capacity, its pin check, and the branch-and-price load-blocking all use
+/// it, so a freshly priced column is never load-blocked at birth.
+[[nodiscard]] inline bool config_fits(double load, double T) {
+  return load <= T * (1.0 + kConfigFitRelTol);
+}
+
 /// Column-generation solver for the *configuration LP* of scheduling with
 /// setup times: a configuration of machine i is a job set S with
 ///   Σ_{j∈S} p_ij + Σ_{k: S∩J_k≠∅} s_ik <= T.
@@ -25,7 +50,7 @@ namespace setsched {
 struct ConfigLpOptions {
   std::size_t grid = 2048;
   std::size_t max_iterations = 80;
-  double tol = 1e-6;
+  double tol = kConfigPricingTol;
   /// Optional pool: pricing problems across machines run in parallel.
   ThreadPool* pool = nullptr;
   /// Simplex knobs for the restricted master. The RMP model is built once
@@ -59,20 +84,23 @@ struct ConfigLpResult : SolverCounters {
 struct PricedConfig {
   double value = 0.0;  ///< Σ duals of covered jobs (mandatory jobs included)
   std::vector<JobId> jobs;
-  /// Pin feasibility certificate (branch-and-price only; always true when no
-  /// pins are passed): false means the jobs *pinned to this machine* alone
-  /// overflow the grid at T. Because weights are rounded up at an inflated
-  /// probe T (exact/config_bound.h picks T so any truly-T-feasible set
-  /// rounds within the grid), overflow of the mandatory subset certifies
-  /// that machine's true load exceeds T in EVERY completion of the partial
-  /// schedule — a sound prune.
+  /// Load of `jobs` on the machine (processing times plus the setups of the
+  /// touched classes), as the exact pricer summed it; the dense pricer,
+  /// whose caller needs no load, leaves it 0.
+  double load = 0.0;
+  /// Pin feasibility certificate (always true when no pins are passed):
+  /// false means the jobs pinned to this machine cannot run there within T.
+  /// Either a pinned job is ineligible, or their true load alone exceeds T
+  /// (the exact pricer tests it with config_fits; the dense pricer tests
+  /// their up-rounded grid weights, which is weaker). Every completion of
+  /// the partial schedule then overloads the machine: a sound prune.
   bool pins_fit = true;
 };
 
-/// Exact knapsack-with-class-opening-costs pricing for one machine on the
+/// Dense knapsack-with-class-opening-costs pricing for one machine on the
 /// scaled grid (weights rounded up, so any returned set truly fits in T).
-/// This is the pricing subproblem of solve_config_lp(), exposed for the
-/// branch-and-price bounder (exact/config_bound.h).
+/// This is the pricing subproblem of solve_config_lp(); branch-and-price
+/// uses the exact pricer below, and the tests use this one as its oracle.
 ///
 /// `pinned` (optional, size n, kUnassigned = free) restricts the priced
 /// configuration to ones consistent with a partial schedule: jobs pinned to
@@ -84,6 +112,20 @@ struct PricedConfig {
 [[nodiscard]] PricedConfig price_machine_config(
     const Instance& instance, MachineId i, double T,
     const std::vector<double>& dual, std::size_t grid, double tol,
+    const std::vector<MachineId>* pinned = nullptr);
+
+/// Exact pricing for one machine, with no grid: the best pin-consistent job
+/// set whose load fits in T (config_fits), with the same pin, eligibility
+/// and `tol` conventions as price_machine_config(). It runs a sparse
+/// dynamic program over classes that keeps, per stage, the Pareto list of
+/// (load, value) states with every dominated state dropped
+/// (Nemhauser–Ullmann), and rebuilds the job set through parent links.
+/// The list size is bounded by the number of distinct subset loads, so
+/// integral data keep it pseudo-polynomial in T. This is the pricer of the
+/// branch-and-price bounder (exact/config_bound.h).
+[[nodiscard]] PricedConfig price_machine_config_exact(
+    const Instance& instance, MachineId i, double T,
+    const std::vector<double>& dual, double tol,
     const std::vector<MachineId>* pinned = nullptr);
 
 /// Theorem 3.3 rounding driven by the configuration LP instead of the direct

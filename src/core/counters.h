@@ -51,7 +51,7 @@
   X(nodes, "nodes", true,                                                    \
     "search-tree nodes expanded (branch-and-bound DFS nodes, beam states)")  \
   X(lp_bounds_used, "lp_bounds", true,                                       \
-    "LP relaxation probes spent on search-tree bounding")
+    "assignment-LP relaxation probes spent on search-tree bounding")
 
 namespace setsched {
 

@@ -97,47 +97,28 @@ class ProveSolver {
       const obs::PhaseTimer phase(obs::Phase::kRootBound);
       const obs::TraceSpan span("cg_root_bound", "exact");
       exact::ConfigBoundOptions cg;
-      cg.grid = opt_.cg_grid;
       cg.rounds_per_node = opt_.cg_rounds_per_node;
       cg.root_probes = opt_.cg_root_probes;
       cg.simplex.algorithm = opt_.lp_algorithm;
       cg.simplex.pricing = opt_.lp_pricing;
       cg.simplex.fault_plan = opt_.fault_plan;
+      // The root bisection may spend at most half the budget left, so it
+      // can never starve the prove phase; the bounder polls the cap before
+      // every pricing round.
+      const double left =
+          std::max(0.0, opt_.time_limit_s - timer_.elapsed_seconds());
+      auto root_deadline =
+          std::chrono::steady_clock::now() +
+          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+              std::chrono::duration<double>(0.5 * left));
+      if (opt_.deadline && *opt_.deadline < root_deadline) {
+        root_deadline = *opt_.deadline;
+      }
+      cg.deadline = root_deadline;
       cg_bounder_.emplace(inst_, prune_at_, cg);
       if (cg_bounder_->available()) {
         const double base = lower_bound_;
-        double cg_lb = cg_bounder_->root_lower_bound(base, prune_at_);
-        if (opt_.cg_root_grid > opt_.cg_grid) {
-          // Fine-grid root pass: a throwaway bounder whose smaller
-          // conservative inflation certifies what the coarse grid cannot.
-          // Wall clock capped at half the remaining budget so it can never
-          // starve the prove phase; its effort folds into the cg counters.
-          exact::ConfigBoundOptions fine = cg;
-          fine.grid = opt_.cg_root_grid;
-          const double left =
-              opt_.time_limit_s - timer_.elapsed_seconds();
-          if (left > 0.0) {
-            auto fine_deadline =
-                std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(0.5 * left));
-            if (opt_.deadline && *opt_.deadline < fine_deadline) {
-              fine_deadline = *opt_.deadline;
-            }
-            fine.deadline = fine_deadline;
-            exact::ConfigLpBounder fine_bounder(inst_, prune_at_, fine);
-            if (fine_bounder.available()) {
-              cg_lb = std::max(
-                  cg_lb,
-                  fine_bounder.root_lower_bound(std::max(base, cg_lb),
-                                                prune_at_));
-              cg_extra_columns_ += fine_bounder.columns();
-              cg_extra_rounds_ += fine_bounder.pricing_rounds();
-              cg_extra_fallbacks_ += fine_bounder.fallbacks();
-            }
-          }
-        }
+        const double cg_lb = cg_bounder_->root_lower_bound(base, prune_at_);
         lower_bound_ = std::max(lower_bound_, cg_lb);
         cg_active_ = true;
         if (opt_.bound == BoundMode::kAuto &&
@@ -166,13 +147,11 @@ class ProveSolver {
     out.schedule = best_schedule_;
     out.makespan = makespan(inst_, best_schedule_);
     if (bounder_) static_cast<SolverCounters&>(out) = bounder_->counters();
-    out.nodes = nodes_;
     if (cg_bounder_) {
-      out.cg_columns = cg_bounder_->columns() + cg_extra_columns_;
-      out.cg_pricing_rounds =
-          cg_bounder_->pricing_rounds() + cg_extra_rounds_;
-      out.cg_fallbacks = cg_bounder_->fallbacks() + cg_extra_fallbacks_;
+      static_cast<SolverCounters&>(out) += cg_bounder_->counters();
+      out.cg_fallbacks += cg_extra_fallbacks_;
     }
+    out.nodes = nodes_;
     exact::certify(&out, lower_bound_, !aborted_);
     return out;
   }
@@ -380,11 +359,8 @@ class ProveSolver {
   /// when the bounder stops earning its keep. The bounder object outlives
   /// the flag so unwinding unpins — and the final counters — stay valid.
   bool cg_active_ = false;
+  /// kAuto's permanent demotions (folded into the reported cg_fallbacks).
   std::size_t cg_extra_fallbacks_ = 0;
-  /// Effort of the throwaway fine-grid root bounder (folded into the
-  /// reported cg counters; the bounder itself does not outlive the root).
-  std::size_t cg_extra_columns_ = 0;
-  std::size_t cg_extra_rounds_ = 0;
   std::optional<DominanceTable> memo_;
   /// Reduced-cost fix trail: each node unfixes back to the size it saw on
   /// entry (root fixes at the front are permanent).

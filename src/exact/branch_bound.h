@@ -130,28 +130,21 @@ struct ExactOptions {
   /// probes and amortize only near the top of the tree). Also the pin depth
   /// of the config bounder.
   std::size_t cg_bound_depth = 6;
-  /// Pricing grid of the config bounder (ConfigBoundOptions::grid).
-  std::size_t cg_grid = 2048;
   /// Pricing rounds per config-LP node probe before it stalls to "no bound".
   std::size_t cg_rounds_per_node = 6;
-  /// Probe budget of the config-LP root-bound bisection.
+  /// Probe budget of the config-LP root-bound bisection. Its wall clock is
+  /// capped at half the budget left when it starts (and by `deadline`),
+  /// polled before every pricing round.
   std::size_t cg_root_probes = 12;
-  /// Grid of the root-only fine bisection pass. The certified config bound
-  /// loses (n + classes)/grid to the conservative probe inflation, which at
-  /// mid-size instances eats most of the relaxation's edge over the
-  /// assignment LP — a one-off fine-grid pass at the root buys the bound
-  /// back at a cost that amortizes over the whole tree (node probes keep
-  /// the cheap cg_grid). Set <= cg_grid to disable the pass. Its wall clock
-  /// is capped at half the remaining budget.
-  std::size_t cg_root_grid = 16384;
 };
 
 /// Result contract of the exact subsystem. `proven_optimal` distinguishes
 /// ground truth from budget-exhausted incumbents; consumers (registry,
 /// experiment harness) must propagate it instead of treating every result
 /// as an optimum. The inherited counters report the search effort: nodes
-/// (DFS nodes or beam states), assignment-LP probes (lp_solves ==
-/// lp_bounds_used) with their simplex work and guard activity, reduced-cost
+/// (DFS nodes or beam states), assignment-LP probes (lp_bounds_used), the
+/// simplex work and guard activity of every LP solve (lp_solves adds the
+/// branch-and-price RMP solves to the assignment probes), reduced-cost
 /// fixings (subtree-local fixes count once per application), and the
 /// branch-and-price counters (0 under BoundMode::kAssignment).
 struct ExactResult : SolverCounters {

@@ -3,19 +3,18 @@
 #include <algorithm>
 #include <cmath>
 
+#include "exact/search_util.h"
 #include "exact/tolerances.h"
+#include "obs/phase.h"
 
 namespace setsched::exact {
 
 ConfigLpBounder::ConfigLpBounder(const Instance& instance, double T_build,
                                  const ConfigBoundOptions& options)
     : inst_(instance), opt_(options), rmp_(lp::Objective::kMaximize) {
-  if (T_build <= 0.0 || opt_.grid == 0) return;
+  if (T_build <= 0.0) return;
   const std::size_t n = inst_.num_jobs();
   const std::size_t m = inst_.num_machines();
-  slack_ = static_cast<double>(n + inst_.num_classes()) /
-           static_cast<double>(opt_.grid);
-  if (slack_ >= kCgMaxGridSlack) return;  // grid too coarse to say anything
 
   // Same RMP shape as solve_config_lp: u_j coverage variables, job rows
   // u_j - Σ_{c ∋ j} z_c <= 0, machine convexity rows Σ_c z_{i,c} <= 1.
@@ -29,6 +28,13 @@ ConfigLpBounder::ConfigLpBounder(const Instance& instance, double T_build,
     machine_row_[i] = rmp_.add_constraint({}, lp::Sense::kLessEqual, 1.0);
   }
   pinned_.assign(n, kUnassigned);
+  pins_on_.assign(m, 0);
+  machine_rep_ = machine_representatives(inst_);
+  has_twin_.assign(m, 0);
+  for (MachineId i = 0; i < m; ++i) {
+    if (machine_rep_[i] != i) has_twin_[machine_rep_[i]] = 1;
+  }
+  rep_priced_.resize(m);
   dual_job_.assign(n, 0.0);
   dual_machine_.assign(m, 0.0);
   available_ = true;
@@ -51,6 +57,7 @@ void ConfigLpBounder::sync_bounds(const PoolColumn& c) {
 void ConfigLpBounder::pin(JobId j, MachineId i) {
   if (!available_) return;
   pinned_[j] = i;
+  ++pins_on_[i];
   for (PoolColumn& c : pool_) {
     if (!conflicts(c, j, i)) continue;
     if (++c.pin_blocks == 1 && !c.load_blocked) sync_bounds(c);
@@ -62,51 +69,58 @@ void ConfigLpBounder::unpin(JobId j) {
   const MachineId i = pinned_[j];
   pinned_[j] = kUnassigned;
   if (i == kUnassigned) return;
+  --pins_on_[i];
   for (PoolColumn& c : pool_) {
     if (!conflicts(c, j, i)) continue;
     if (--c.pin_blocks == 0 && !c.load_blocked) sync_bounds(c);
   }
 }
 
-void ConfigLpBounder::retune(double t_eff) {
-  current_T_ = t_eff;
+void ConfigLpBounder::retune(double T) {
+  current_T_ = T;
   for (PoolColumn& c : pool_) {
-    const bool blocked = c.load > t_eff;
+    const bool blocked = !config_fits(c.load, T);
     if (blocked == c.load_blocked) continue;
     c.load_blocked = blocked;
     if (c.pin_blocks == 0) sync_bounds(c);
   }
 }
 
-void ConfigLpBounder::add_column(MachineId i, std::vector<JobId> jobs) {
-  std::sort(jobs.begin(), jobs.end());
+void ConfigLpBounder::add_column(MachineId i, PricedConfig priced) {
   PoolColumn c;
   c.machine = i;
-  c.jobs = std::move(jobs);
-  std::vector<char> touched(inst_.num_classes(), 0);
-  for (const JobId j : c.jobs) {
-    c.load += inst_.proc(i, j);
-    touched[inst_.job_class(j)] = 1;
-  }
-  for (ClassId k = 0; k < inst_.num_classes(); ++k) {
-    if (touched[k]) c.load += inst_.setup(i, k);
-  }
+  c.jobs = std::move(priced.jobs);
+  std::sort(c.jobs.begin(), c.jobs.end());
+  c.load = priced.load;
   c.z = rmp_.add_variable(0.0, 1.0, 0.0);
   for (const JobId j : c.jobs) rmp_.add_to_row(job_row_[j], c.z, -1.0);
   rmp_.add_to_row(machine_row_[i], c.z, 1.0);
-  // The pricer only emits pin-consistent columns that truly fit the current
-  // probe T (weights are rounded up), so a fresh column starts enabled.
+  // The pricer only emits pin-consistent columns whose load passes the same
+  // config_fits test at the current probe T, so a fresh column starts
+  // enabled.
   c.pin_blocks = 0;
-  c.load_blocked = c.load > current_T_;
+  c.load_blocked = !config_fits(c.load, current_T_);
   if (c.load_blocked) sync_bounds(c);
   pool_.push_back(std::move(c));
 }
 
-ConfigLpBounder::Probe ConfigLpBounder::probe(double t_eff,
-                                              std::size_t max_rounds) {
+bool ConfigLpBounder::past_deadline() const {
+  return opt_.deadline && std::chrono::steady_clock::now() > *opt_.deadline;
+}
+
+SolverCounters ConfigLpBounder::counters() const {
+  SolverCounters out = rmp_effort_;
+  out.cg_columns = columns();
+  out.cg_pricing_rounds = pricing_rounds_;
+  out.cg_fallbacks = fallbacks_;
+  return out;
+}
+
+ConfigLpBounder::Probe ConfigLpBounder::probe(double T, std::size_t max_rounds,
+                                              bool root) {
   const std::size_t n = inst_.num_jobs();
   const std::size_t m = inst_.num_machines();
-  const double coverage_target = static_cast<double>(n) - kCgPricingTol;
+  const double coverage_target = static_cast<double>(n) - kConfigPricingTol;
   // The prune certificate needs headroom for pricing's per-machine dual
   // tolerance (see kCgCoverageSlackPerRow).
   const double prune_below = static_cast<double>(n) -
@@ -114,6 +128,9 @@ ConfigLpBounder::Probe ConfigLpBounder::probe(double t_eff,
                                  kCgCoverageSlackPerRow;
   last_probe_rounds_ = 0;
   for (std::size_t round = 0; round < max_rounds; ++round) {
+    // The root bisection's wall-clock cap binds inside a probe too: one
+    // root probe may run many rounds.
+    if (root && past_deadline()) return Probe::kStall;
     ++last_probe_rounds_;
     ++pricing_rounds_;
 
@@ -121,6 +138,8 @@ ConfigLpBounder::Probe ConfigLpBounder::probe(double t_eff,
     simplex.guard = true;  // every prune verdict must survive the audit
     if (!basis_.empty()) simplex.warm_start = &basis_;
     const lp::Solution sol = lp::solve(rmp_, simplex);
+    ++rmp_effort_.lp_solves;
+    lp::add_solve_effort(sol, &rmp_effort_);
     if (!sol.optimal() || sol.audit_contested()) return Probe::kContested;
     if (!sol.basis.empty()) basis_ = sol.basis;
     if (sol.objective >= coverage_target) return Probe::kFeasible;
@@ -133,17 +152,27 @@ ConfigLpBounder::Probe ConfigLpBounder::probe(double t_eff,
     }
 
     bool added = false;
-    for (MachineId i = 0; i < m; ++i) {
-      PricedConfig priced =
-          price_machine_config(inst_, i, t_eff, dual_job_, opt_.grid,
-                               kCgPricingTol, &pinned_);
-      // The jobs pinned to machine i alone overflow the grid: their true
-      // load exceeds the probe T in every completion (grid conservatism).
-      if (!priced.pins_fit) return Probe::kInfeasible;
-      if (priced.jobs.empty()) continue;
-      if (priced.value <= dual_machine_[i] + kCgPricingTol) continue;
-      add_column(i, std::move(priced.jobs));
-      added = true;
+    {
+      const obs::PhaseTimer phase(obs::Phase::kColgenPricing);
+      for (MachineId i = 0; i < m; ++i) {
+        // Each distinct machine row is priced once: a twin of an earlier
+        // machine (same processing times and setups) prices the same
+        // configuration as long as no job is pinned to either of them.
+        const MachineId r = machine_rep_[i];
+        const bool shared = r != i && pins_on_[i] == 0 && pins_on_[r] == 0;
+        PricedConfig priced =
+            shared ? rep_priced_[r]
+                   : price_machine_config_exact(inst_, i, T, dual_job_,
+                                                kConfigPricingTol, &pinned_);
+        if (has_twin_[i]) rep_priced_[i] = priced;
+        // The jobs pinned to machine i cannot run there within T in any
+        // completion (ineligible, or their load alone does not fit).
+        if (!priced.pins_fit) return Probe::kInfeasible;
+        if (priced.jobs.empty()) continue;
+        if (priced.value <= dual_machine_[i] + kConfigPricingTol) continue;
+        add_column(i, std::move(priced));
+        added = true;
+      }
     }
     if (!added) {
       // Exhaustive pricing: the duals are feasible for the full
@@ -155,12 +184,12 @@ ConfigLpBounder::Probe ConfigLpBounder::probe(double t_eff,
   return Probe::kStall;
 }
 
-bool ConfigLpBounder::probe_verdict(double T, std::size_t max_rounds) {
+bool ConfigLpBounder::probe_verdict(double T, std::size_t max_rounds,
+                                    bool root) {
   if (!available_ || T <= 0.0) return true;  // no bounder, no pruning
   ++probes_;
-  const double t_eff = T / (1.0 - slack_);
-  if (t_eff != current_T_) retune(t_eff);
-  switch (probe(t_eff, max_rounds)) {
+  if (T != current_T_) retune(T);
+  switch (probe(T, max_rounds, root)) {
     case Probe::kFeasible:
       consecutive_stalls_ = 0;
       return true;
@@ -179,7 +208,7 @@ bool ConfigLpBounder::probe_verdict(double T, std::size_t max_rounds) {
 }
 
 bool ConfigLpBounder::feasible(double T) {
-  return probe_verdict(T, opt_.rounds_per_node);
+  return probe_verdict(T, opt_.rounds_per_node, /*root=*/false);
 }
 
 double ConfigLpBounder::root_lower_bound(double lo, double hi) {
@@ -192,15 +221,12 @@ double ConfigLpBounder::root_lower_bound(double lo, double hi) {
         kCgRootGapRelTol * std::max(1.0, certified)) {
       break;
     }
-    if (opt_.deadline &&
-        std::chrono::steady_clock::now() > *opt_.deadline) {
-      break;  // out of wall clock; keep what is certified so far
-    }
+    if (past_deadline()) break;  // keep what is certified so far
     const double mid = 0.5 * (certified + ceiling);
-    if (probe_verdict(mid, rounds)) {
-      // Not certified infeasible — treat as the new search ceiling (grid
-      // feasibility is monotone in T up to rounding granularity; a wrong
-      // guess here only wastes probes, never the bound's validity).
+    if (probe_verdict(mid, rounds, /*root=*/true)) {
+      // Not certified infeasible — treat as the new search ceiling
+      // (feasibility is monotone in T; a stalled probe's guess here only
+      // wastes probes, never the bound's validity).
       ceiling = mid;
     } else {
       certified = mid;  // OPT > mid, certified

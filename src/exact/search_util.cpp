@@ -45,11 +45,19 @@ SearchPlan build_search_plan(const Instance& instance) {
   plan.min_total =
       std::accumulate(plan.min_proc.begin(), plan.min_proc.end(), 0.0);
 
-  plan.machine_rep.resize(m);
+  plan.machine_rep = machine_representatives(instance);
+  return plan;
+}
+
+std::vector<MachineId> machine_representatives(const Instance& instance) {
+  const std::size_t n = instance.num_jobs();
+  const std::size_t m = instance.num_machines();
+  const std::size_t kc = instance.num_classes();
+  std::vector<MachineId> rep(m);
   for (MachineId i = 0; i < m; ++i) {
-    plan.machine_rep[i] = i;
+    rep[i] = i;
     for (MachineId r = 0; r < i; ++r) {
-      if (plan.machine_rep[r] != r) continue;
+      if (rep[r] != r) continue;
       bool same = true;
       for (JobId j = 0; j < n && same; ++j) {
         same = instance.proc(i, j) == instance.proc(r, j);
@@ -58,12 +66,12 @@ SearchPlan build_search_plan(const Instance& instance) {
         same = instance.setup(i, k) == instance.setup(r, k);
       }
       if (same) {
-        plan.machine_rep[i] = r;
+        rep[i] = r;
         break;
       }
     }
   }
-  return plan;
+  return rep;
 }
 
 bool symmetric_duplicate(const SearchPlan& plan, MachineId i,

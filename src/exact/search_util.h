@@ -27,6 +27,11 @@ struct SearchPlan {
 
 [[nodiscard]] SearchPlan build_search_plan(const Instance& instance);
 
+/// SearchPlan::machine_rep on its own: rep[i] is the smallest machine whose
+/// processing column and setup row equal machine i's.
+[[nodiscard]] std::vector<MachineId> machine_representatives(
+    const Instance& instance);
+
 /// True iff machine `i` duplicates an earlier candidate under the current
 /// search state: some equivalent machine r < i has the same load and the
 /// same paid-setup row, so branching on r already covers i up to the swap

@@ -62,20 +62,15 @@ inline constexpr double kCertRelTol = 1e-9;
 /// on degenerate instances whose lower bound is 0.
 inline constexpr double kGapDenominatorFloor = 1e-9;
 
-/// Configuration-LP bounder (exact/config_bound.h) pricing tolerance: the
-/// dual-value margin a priced column must beat its machine's convexity dual
-/// by to count as improving, and the per-job dual floor below which free
-/// jobs are not priced. Matches ConfigLpOptions::tol so the bounder's RMP
-/// behaves like the T-search colgen's.
-inline constexpr double kCgPricingTol = 1e-6;
-
-/// Coverage slack of the config-LP prune certificate: pricing tolerates a
-/// dual-feasibility violation of up to kCgPricingTol per machine row, so
-/// "no improving column" only certifies that the full pin-consistent master
-/// stays below RMP coverage + (m+1)·kCgPricingTol. A prune therefore
-/// requires coverage < n - (m+1)·kCgPricingTol; the matching feasible
-/// verdict fires at coverage >= n - kCgPricingTol (the colgen convention),
-/// and the ambiguous sliver in between is treated as feasible (no prune).
+/// Coverage slack of the config-LP prune certificate. The bounder prices
+/// with the colgen pricing tolerance kConfigPricingTol (colgen/config_lp.h),
+/// which tolerates a dual-feasibility violation of up to that much per
+/// machine row, so "no improving column" only certifies that the full
+/// pin-consistent master stays below RMP coverage + (m+1)·kConfigPricingTol.
+/// A prune therefore requires coverage < n - (m+1)·kCgCoverageSlackPerRow;
+/// the matching feasible verdict fires at coverage >= n - kConfigPricingTol
+/// (the colgen convention), and the ambiguous sliver in between is treated
+/// as feasible (no prune).
 inline constexpr double kCgCoverageSlackPerRow = 1e-6;
 
 /// Relative termination width of the config-LP root bisection: probing
@@ -83,11 +78,6 @@ inline constexpr double kCgCoverageSlackPerRow = 1e-6;
 /// bisection over sound infeasibility certificates, so a loose width only
 /// weakens the reported bound, never its validity.
 inline constexpr double kCgRootGapRelTol = 1e-3;
-
-/// Maximum grid-inflation slack (n + classes) / grid the config bounder
-/// accepts; above this the conservative probe T_eff = T / (1 - slack) is so
-/// inflated the bound is useless and the bounder reports unavailable.
-inline constexpr double kCgMaxGridSlack = 0.5;
 
 /// BoundMode::kAuto demotion trigger: this many CONSECUTIVE round-limit
 /// stalls of the config-LP node probe and the search permanently falls back

@@ -14,13 +14,17 @@ namespace setsched::obs {
 /// phases append before the end. Phases form three nesting tiers rather than
 /// one flat partition — see docs/OBSERVABILITY.md:
 ///  * solver tier (disjoint): root_bound, dive, prove cover the exact
-///    solvers' wall clock; colgen_pricing covers the colgen pricing rounds;
+///    solvers' wall clock; colgen_pricing covers the colgen pricing rounds.
+///    Inside the exact solvers colgen_pricing is a sub-phase instead: the
+///    branch-and-price bounder's pricing nests under root_bound / prove,
+///    as dominance does;
 ///  * LP tier: lp_solve is the total time inside a simplex solve (nested
 ///    under whatever solver phase triggered it), split into the lp_primal /
 ///    lp_dual loops;
 ///  * kernel tier (nested under the loops): lp_ftran, lp_btran, lp_factor,
 ///    lp_pricing.
-/// dominance and refix are sub-phases of prove/dive.
+/// dominance and refix are sub-phases of prove/dive; colgen_pricing is one
+/// of root_bound/prove when an exact solver runs it.
 enum class Phase : std::uint8_t {
   kLpSolve = 0,     ///< whole lp::solve_revised / solve_tableau call
   kLpPrimal,        ///< primal simplex loop (phases 1+2)
@@ -34,7 +38,7 @@ enum class Phase : std::uint8_t {
   kProve,           ///< exact: DFS branch-and-bound
   kDominance,       ///< exact: dominance memo lookups / beam dominance scans
   kRefix,           ///< exact: incremental root refixing on incumbent updates
-  kColgenPricing,   ///< colgen: knapsack pricing rounds
+  kColgenPricing,   ///< colgen and branch-and-price: pricing rounds
 };
 
 inline constexpr std::size_t kPhaseCount = 13;

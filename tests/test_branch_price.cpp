@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -108,6 +109,67 @@ TEST(CgPinnedNodes, NeverCertifiesAwayTheOptimum) {
   }
 }
 
+// The same walk at T = OPT exactly, with no upward slack: the optimal
+// schedule's own machine loads sit on the fit test's boundary, which the
+// exact pricer and load-blocking must both admit. Fractional data make the
+// pricer's sums round differently from makespan()'s.
+TEST(CgPinnedNodes, NeverCertifiesAwayTheOptimumAtExactOpt) {
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    UnrelatedGenParams p = tiny_params();
+    p.integral = seed % 2 == 0;
+    const Instance inst = generate_unrelated(p, seed + 50);
+    const ExactResult optimum = solve_exact(inst);
+    ASSERT_TRUE(optimum.proven_optimal) << "seed " << seed;
+    const double T = optimum.makespan;
+
+    exact::ConfigBoundOptions copt;
+    copt.rounds_per_node = 50;  // generous: a stall would mask the check
+    exact::ConfigLpBounder bounder(inst, T, copt);
+    ASSERT_TRUE(bounder.available()) << "seed " << seed;
+    EXPECT_TRUE(bounder.feasible(T)) << "seed " << seed << " at the root";
+    for (JobId j = 0; j < inst.num_jobs(); ++j) {
+      bounder.pin(j, optimum.schedule.assignment[j]);
+      EXPECT_TRUE(bounder.feasible(T))
+          << "seed " << seed << " after pinning job " << j
+          << " per the optimal schedule";
+    }
+    EXPECT_EQ(bounder.fallbacks(), 0u) << "seed " << seed;
+  }
+}
+
+// The root bisection's wall-clock cap: with the deadline already passed it
+// prices nothing and returns the bound it was given.
+TEST(CgRootDeadline, PassedDeadlineReturnsLoWithoutPricing) {
+  const Instance inst = generate_unrelated(tiny_params(), 3);
+  const double lo = assignment_lp_floor(inst);
+  const double hi = unrelated_upper_bound(inst);
+  exact::ConfigBoundOptions copt;
+  copt.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  exact::ConfigLpBounder bounder(inst, hi, copt);
+  ASSERT_TRUE(bounder.available());
+  EXPECT_EQ(bounder.root_lower_bound(lo, hi), lo);
+  EXPECT_EQ(bounder.counters().cg_pricing_rounds, 0u);
+  EXPECT_EQ(bounder.counters().lp_solves, 0u);
+}
+
+// Every RMP solve folds into the LP counters: under kProve the assignment
+// probes are the lp_bounds_used, and each pricing round adds one solve.
+TEST(CgCounters, RmpSolvesFoldIntoLpCounters) {
+  UnrelatedGenParams p;
+  p.num_jobs = 12;
+  p.num_machines = 3;
+  p.num_classes = 4;
+  const Instance inst = generate_unrelated(p, 17);
+  ExactOptions opt;
+  opt.bound = BoundMode::kConfig;
+  opt.cg_bound_depth = inst.num_jobs();
+  const ExactResult r = solve_exact(inst, opt);
+  ASSERT_TRUE(r.proven_optimal);
+  ASSERT_GT(r.cg_pricing_rounds, 0u);
+  EXPECT_EQ(r.lp_solves, r.lp_bounds_used + r.cg_pricing_rounds);
+  EXPECT_GT(r.lp_iterations, 0u);
+}
+
 // The flip side: well below the assignment-LP floor the configuration LP
 // must certify infeasibility (the verdict the search prunes on).
 TEST(CgPinnedNodes, CertifiesInfeasibilityBelowTheFloor) {
@@ -178,6 +240,51 @@ TEST(CgDifferential, MatchesEnumerationWithSingleClass) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     expect_matches_enumeration(generate_unrelated(p, seed + 700),
                                BoundMode::kConfig, seed);
+  }
+}
+
+// Twin machines (identical processing times and setups) share one pricing
+// per round while no job is pinned to either; pins break the sharing. The
+// search must still reproduce brute force on instances made of twins.
+TEST(CgDifferential, MatchesEnumerationWithTwinMachines) {
+  UnrelatedGenParams p;
+  p.num_jobs = 9;
+  p.num_machines = 2;
+  p.num_classes = 3;
+  p.eligibility = 0.8;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const Instance base = generate_unrelated(p, seed + 900);
+    // Machines 0, 1 copy base machine 0; machine 2 copies base machine 1.
+    Instance inst(3, base.num_classes(),
+                  std::vector<ClassId>(base.job_classes().begin(),
+                                       base.job_classes().end()));
+    const MachineId source[] = {0, 0, 1};
+    for (MachineId i = 0; i < 3; ++i) {
+      for (JobId j = 0; j < base.num_jobs(); ++j) {
+        inst.set_proc(i, j, base.proc(source[i], j));
+      }
+      for (ClassId k = 0; k < base.num_classes(); ++k) {
+        inst.set_setup(i, k, base.setup(source[i], k));
+      }
+    }
+    expect_matches_enumeration(inst, BoundMode::kConfig, seed);
+
+    // Every column priced along a pinned descent must be consistent with
+    // the pins it was priced under: a twin reusing a configuration priced
+    // for a machine with different pins would break the recount.
+    const ExactResult optimum = solve_exact(inst);
+    ASSERT_TRUE(optimum.proven_optimal) << "seed " << seed;
+    exact::ConfigBoundOptions copt;
+    copt.rounds_per_node = 50;
+    exact::ConfigLpBounder bounder(inst, optimum.makespan, copt);
+    ASSERT_TRUE(bounder.available());
+    for (JobId j = 0; j < inst.num_jobs(); ++j) {
+      bounder.pin(j, optimum.schedule.assignment[j]);
+      EXPECT_TRUE(bounder.feasible(optimum.makespan))
+          << "seed " << seed << " after pinning job " << j;
+      EXPECT_TRUE(bounder.check_invariants())
+          << "seed " << seed << " after pinning job " << j;
+    }
   }
 }
 

@@ -4,7 +4,7 @@
 Four rules, each protecting an invariant the compiler cannot see:
 
   float-eq     No floating-point ==/!= against a nonzero decimal literal in
-               src/lp or src/exact. Exact-zero tests (`x == 0.0`) are sparse-
+               src/lp, src/exact or src/colgen. Exact-zero tests (`x == 0.0`) are sparse-
                kernel idiom and stay legal, as do variable-to-variable
                comparisons on input data (undetectable by a lexical lint and
                intentionally exact in this codebase). Nonzero literal
@@ -12,9 +12,10 @@ Four rules, each protecting an invariant the compiler cannot see:
                Suppress per line: `// lint: allow-float-eq (reason)`.
 
   tolerance    No magic tolerance literals (scientific notation with a
-               negative exponent, e.g. 1e-9) in src/lp or src/exact outside
-               the named-tolerance definition sites (lp::SimplexOptions,
-               exact/tolerances.h). Everything else must spell a named
+               negative exponent, e.g. 1e-9) in src/lp, src/exact or
+               src/colgen outside the named-tolerance definition sites
+               (lp::SimplexOptions, exact/tolerances.h, and the annotated
+               constants at the top of colgen/config_lp.{h,cpp}). Everything else must spell a named
                constant so tolerances stay auditable in one place.
                Suppress per line: `// lint: allow-tolerance (reason)`,
                or whole file: `// lint: allow-tolerance-file (reason)`.
@@ -43,8 +44,8 @@ import pathlib
 import re
 import sys
 
-TOLERANCE_SCOPE = ("src/lp", "src/exact")
-FLOAT_EQ_SCOPE = ("src/lp", "src/exact")
+TOLERANCE_SCOPE = ("src/lp", "src/exact", "src/colgen")
+FLOAT_EQ_SCOPE = ("src/lp", "src/exact", "src/colgen")
 MUTEX_SCOPE = ("src",)
 MUTEX_EXEMPT = {"src/common/annotations.h"}
 
@@ -181,8 +182,9 @@ class Linter:
                     self.report(
                         path, idx, "tolerance",
                         f"magic tolerance literal {m.group(0)}; hoist it into "
-                        "lp::SimplexOptions or exact/tolerances.h (or "
-                        "annotate `lint: allow-tolerance (reason)`)")
+                        "lp::SimplexOptions, exact/tolerances.h or a named "
+                        "colgen constant (or annotate "
+                        "`lint: allow-tolerance (reason)`)")
             if in_mutex_scope and "raw-mutex" not in allows:
                 m = RAW_MUTEX_RE.search(line)
                 if m:
@@ -247,6 +249,7 @@ def self_test() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
         (root / "src/lp").mkdir(parents=True)
+        (root / "src/colgen").mkdir(parents=True)
         (root / "src/core").mkdir(parents=True)
         (root / "docs").mkdir(parents=True)
         (root / "src/lp/bad.cpp").write_text(
@@ -258,6 +261,8 @@ def self_test() -> int:
             "  double bare = 1e-8;   // lint: allow-tolerance\n"  # no reason
             "  std::mutex m;\n"                         # raw-mutex fires
             "}\n")
+        (root / "src/colgen/bad.cpp").write_text(
+            "bool g(double x) { return x <= 2.5e-7 || x == 0.25; }\n")
         (root / "src/core/counters.h").write_text(
             "#define SETSCHED_SOLVER_COUNTERS(X) \\\n"
             "  X(lp_solves, \"lp_solves\", true, \"documented\") \\\n"
@@ -292,6 +297,12 @@ def self_test() -> int:
                    ("[tolerance]" in v and f" {legal};" in v)
                    for v in linter.violations):
                 print(f"self-test FAILED: legal pattern '{legal}' flagged")
+                failed = True
+        for rule, needle in (("tolerance", "2.5e-7"), ("float-eq", "0.25")):
+            if not any(v.startswith("src/colgen/") and f"[{rule}]" in v
+                       and needle in v for v in linter.violations):
+                print(f"self-test FAILED: rule '{rule}' did not fire in "
+                      "src/colgen")
                 failed = True
         if any("[counters]" in v and "'lp_solves'" in v
                for v in linter.violations):
